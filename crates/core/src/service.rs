@@ -8,10 +8,11 @@
 use crate::autoscale::{AutoScaler, ScalingDecision, WorkerTelemetry};
 use crate::client::{Client, Endpoint, Envelope, Progress};
 use crate::master::Master;
+use crate::pipeline::{ChaosSlot, StageCtx};
 use crate::session::{SessionSpec, Transport};
 use crate::worker::{Worker, WorkerReport};
-use chaos::{FaultInjector, FaultKind, HookPoint};
-use crossbeam::channel::{bounded, Sender};
+use chaos::FaultInjector;
+use crossbeam::channel::bounded;
 use dsi_types::{DsiError, Result, WorkerId};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -19,10 +20,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use warehouse::Table;
-
-/// A shared, late-bindable chaos injector slot: worker loops re-read it
-/// per split so an injector attached after launch still takes effect.
-pub(crate) type ChaosSlot = Arc<RwLock<Option<Arc<FaultInjector>>>>;
 
 struct WorkerControl {
     kill: Arc<AtomicBool>,
@@ -119,31 +116,16 @@ impl DppSession {
     ///
     /// Returns [`DsiError::InvalidSpec`] if the selection matches no data.
     pub fn launch(table: Table, spec: SessionSpec, workers: usize) -> Result<DppSession> {
-        Self::launch_chaos(table, spec, workers, None)
+        Self::launch_observed_chaos(table, spec, workers, None, None)
     }
 
-    /// Like [`DppSession::launch`], but installs a chaos fault injector
-    /// *before* the first worker spawns, so nth-operation fault schedules
-    /// observe every split from the very first one (an injector attached
-    /// after launch races against worker startup).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DppSession::launch`].
-    pub fn launch_chaos(
-        table: Table,
-        spec: SessionSpec,
-        workers: usize,
-        injector: Option<Arc<FaultInjector>>,
-    ) -> Result<DppSession> {
-        Self::launch_observed_chaos(table, spec, workers, None, injector)
-    }
-
-    /// Like [`DppSession::launch_chaos`], but also attaches `registry`
-    /// *before* the first worker spawns. A registry attached after launch
-    /// races worker startup, so the session's earliest splits would be
-    /// served without Schedule spans (and therefore untraced); this
-    /// constructor guarantees trace coverage from split zero.
+    /// Like [`DppSession::launch`], but attaches `registry` and installs a
+    /// chaos fault injector *before* the first worker spawns. A registry
+    /// attached after launch races worker startup, so the session's
+    /// earliest splits would be served without Schedule spans (and
+    /// therefore untraced); an injector attached after launch misses the
+    /// first splits of an nth-operation fault schedule. This constructor
+    /// guarantees both see split zero.
     ///
     /// # Errors
     ///
@@ -221,34 +203,6 @@ impl DppSession {
         }
     }
 
-    /// Resumes a session from a Master checkpoint (e.g. after the primary
-    /// Master and its workers were lost): completed splits are not
-    /// re-read; everything else replays.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DsiError::InvalidSpec`] if the checkpoint does not match
-    /// the spec's scan (the dataset or selection changed), and the same
-    /// validation errors as [`DppSession::launch`].
-    pub fn resume(
-        table: Table,
-        spec: SessionSpec,
-        checkpoint: &crate::master::MasterCheckpoint,
-        workers: usize,
-    ) -> Result<DppSession> {
-        let scan = table
-            .scan(spec.partitions(), spec.projection.clone())
-            .with_policy(spec.policy)
-            .with_decode(spec.decode_mode());
-        let splits = scan.plan_splits();
-        let master = Master::restore(checkpoint, splits)?;
-        let session = Self::assemble(master, spec, table, None);
-        for _ in 0..workers.max(1) {
-            session.spawn_worker();
-        }
-        Ok(session)
-    }
-
     /// Takes a whole-session checkpoint: Master split state plus client
     /// consumption progress, sorted for a deterministic dump.
     pub fn checkpoint_session(&self) -> SessionCheckpoint {
@@ -261,35 +215,21 @@ impl DppSession {
         }
     }
 
-    /// Restores a session from a [`SessionCheckpoint`] (the whole process
-    /// was killed mid-epoch): incomplete splits replay, clients created on
-    /// the restored session inherit the checkpointed consumption progress
-    /// so already-consumed tensors dedup, and the replayed final tensor of
-    /// a fully-consumed split re-acks the replaying worker. The optional
-    /// injector is installed before workers spawn, as in
-    /// [`DppSession::launch_chaos`].
+    /// Restores a session from a [`SessionCheckpoint`] (e.g. the whole
+    /// process, or the primary Master and its workers, was lost
+    /// mid-epoch): completed splits are not re-read, incomplete splits
+    /// replay, clients created on the restored session inherit the
+    /// checkpointed consumption progress so already-consumed tensors
+    /// dedup, and the replayed final tensor of a fully-consumed split
+    /// re-acks the replaying worker. `registry` and `injector` are
+    /// installed before the first replacement worker spawns, as in
+    /// [`DppSession::launch_observed_chaos`].
     ///
     /// # Errors
     ///
-    /// Same conditions as [`DppSession::resume`].
-    pub fn resume_session(
-        table: Table,
-        spec: SessionSpec,
-        checkpoint: &SessionCheckpoint,
-        workers: usize,
-        injector: Option<Arc<FaultInjector>>,
-    ) -> Result<DppSession> {
-        Self::resume_observed_session(table, spec, checkpoint, workers, None, injector)
-    }
-
-    /// Like [`DppSession::resume_session`], but attaches `registry` before
-    /// the first replacement worker spawns, so replayed splits are traced
-    /// from the first post-restore schedule (see
-    /// [`DppSession::launch_observed_chaos`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DppSession::resume`].
+    /// Returns [`DsiError::InvalidSpec`] if the checkpoint does not match
+    /// the spec's scan (the dataset or selection changed), and the same
+    /// validation errors as [`DppSession::launch`].
     pub fn resume_observed_session(
         table: Table,
         spec: SessionSpec,
@@ -318,7 +258,7 @@ impl DppSession {
     /// Attaches a chaos fault injector to every worker loop (current and
     /// future): each split processed fires the injector's `WorkerSplit`
     /// hook. For schedules that must observe the first splits, install the
-    /// injector at launch via [`DppSession::launch_chaos`] instead.
+    /// injector at launch via [`DppSession::launch_observed_chaos`] instead.
     pub fn attach_chaos(&self, injector: Arc<FaultInjector>) {
         *self.chaos.write() = Some(injector);
     }
@@ -427,21 +367,18 @@ impl DppSession {
             .with_decode(spec.decode_mode())
             .with_job(&self.master.session().to_string());
         let worker = Worker::new(id, Arc::clone(&spec), scan);
-        let master = self.master.clone();
+        let ctx = StageCtx {
+            master: self.master.clone(),
+            id,
+            kill: Arc::clone(&kill),
+            drain: Arc::clone(&drain),
+            obs: Arc::clone(&self.obs),
+            chaos: Arc::clone(&self.chaos),
+        };
         let reports = Arc::clone(&self.finished_reports);
-        let kill2 = Arc::clone(&kill);
-        let drain2 = Arc::clone(&drain);
         let read_ahead = spec.read_ahead;
-        let obs = Arc::clone(&self.obs);
-        let chaos = Arc::clone(&self.chaos);
         let handle = std::thread::spawn(move || {
-            let report = if read_ahead > 0 {
-                crate::pipeline::pipelined_worker_loop(
-                    master, worker, tx, kill2, drain2, read_ahead, obs, chaos,
-                )
-            } else {
-                worker_loop(master, worker, tx, kill2, drain2, obs, chaos)
-            };
+            let report = crate::pipeline::run_worker(ctx, worker, tx, read_ahead);
             reports.lock().merge(&report);
             report
         });
@@ -691,133 +628,6 @@ impl DppSession {
     }
 }
 
-/// What an injected `WorkerSplit` fault decided for this worker.
-pub(crate) enum WorkerFate {
-    /// Keep processing (possibly after an injected stall).
-    Continue,
-    /// The worker "crashed": it has already been failed at the Master (so
-    /// its in-flight splits requeue) and its thread must return now.
-    Crash,
-}
-
-/// Fires the `WorkerSplit` chaos hook for one split at `worker`.
-/// `WorkerHang` and `SlowTransform` stall the calling thread in place;
-/// `WorkerCrash` fails the worker at the Master and reports `Crash`.
-pub(crate) fn fire_worker_chaos(
-    chaos: &ChaosSlot,
-    master: &Master,
-    worker: WorkerId,
-) -> WorkerFate {
-    let guard = chaos.read();
-    let Some(injector) = guard.as_ref() else {
-        return WorkerFate::Continue;
-    };
-    let mut fate = WorkerFate::Continue;
-    for kind in injector.fire(HookPoint::WorkerSplit) {
-        match kind {
-            FaultKind::WorkerCrash => {
-                master.fail_worker(worker);
-                fate = WorkerFate::Crash;
-            }
-            FaultKind::WorkerHang { micros } | FaultKind::SlowTransform { micros } => {
-                std::thread::sleep(std::time::Duration::from_micros(micros));
-            }
-            _ => {}
-        }
-    }
-    fate
-}
-
-fn worker_loop(
-    master: Master,
-    mut worker: Worker,
-    tx: Sender<Envelope>,
-    kill: Arc<AtomicBool>,
-    drain: Arc<AtomicBool>,
-    obs: Arc<Mutex<Option<dsi_obs::Registry>>>,
-    chaos: ChaosSlot,
-) -> WorkerReport {
-    let id = worker.id();
-    loop {
-        if kill.load(Ordering::SeqCst) {
-            // Hard crash: no deregistration, no acknowledgement. The health
-            // monitor will requeue this worker's unconsumed splits.
-            return worker.report();
-        }
-        if drain.load(Ordering::SeqCst) {
-            // Graceful drain: stop taking new work; splits already buffered
-            // stay in flight until clients consume and acknowledge them.
-            master.drain_worker(id);
-            break;
-        }
-        match master.request_split_ctx(id) {
-            Ok(Some((split, ctx))) => {
-                if let WorkerFate::Crash = fire_worker_chaos(&chaos, &master, id) {
-                    // The injected crash already requeued this split (and
-                    // any other in-flight work) via the health monitor.
-                    return worker.report();
-                }
-                // Re-read the registry slot per split so a registry attached
-                // after launch still collects this worker's stage spans.
-                let reg = if ctx.is_sampled() {
-                    obs.lock().clone()
-                } else {
-                    None
-                };
-                let (mut tensors, deliver) =
-                    match worker.process_split_traced(&split, ctx, reg.as_ref()) {
-                        Ok(t) => t,
-                        Err(_) => {
-                            // Storage failure: report self as failed so the
-                            // split is requeued elsewhere.
-                            master.fail_worker(id);
-                            return worker.report();
-                        }
-                    };
-                // Per-split flush keeps replay exact under failures (no
-                // cross-split rows inside any delivered tensor).
-                tensors.extend(worker.flush());
-                if kill.load(Ordering::SeqCst) {
-                    // Crash before delivering: the split replays on another
-                    // worker, so rows are still delivered exactly once.
-                    return worker.report();
-                }
-                if tensors.is_empty() {
-                    // Nothing to deliver (e.g. sampling filtered every
-                    // row): safe to acknowledge immediately.
-                    let _ = master.complete_split(id, split.index);
-                    continue;
-                }
-                let total = tensors.len();
-                for (seq, tensor) in tensors.into_iter().enumerate() {
-                    let env = Envelope {
-                        split: split.index,
-                        seq: seq as u32,
-                        last: seq + 1 == total,
-                        worker: id,
-                        trace_id: deliver.trace_id,
-                        parent_span: deliver.span_id,
-                        tensor,
-                    };
-                    if tx.send(env).is_err() {
-                        // Session shut down under us.
-                        master.deregister_worker(id);
-                        return worker.report();
-                    }
-                }
-                // Completion is acknowledged by the Client that consumes
-                // the split's last tensor — not here.
-            }
-            Ok(None) => {
-                master.drain_worker(id);
-                break;
-            }
-            Err(_) => return worker.report(), // deregistered concurrently
-        }
-    }
-    worker.report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1052,7 +862,13 @@ mod tests {
         session.shutdown();
 
         // A replacement master resumes from the checkpoint.
-        let resumed = DppSession::resume(table, spec(3), &checkpoint, 2).unwrap();
+        let checkpoint = SessionCheckpoint {
+            master: checkpoint,
+            progress: Vec::new(),
+        };
+        let resumed =
+            DppSession::resume_observed_session(table, spec(3), &checkpoint, 2, None, None)
+                .unwrap();
         let mut client = resumed.client();
         let mut rest = Vec::new();
         while let Some(t) = client.next_batch() {
@@ -1134,6 +950,22 @@ mod tests {
     }
 
     #[test]
+    fn job_signal_snapshot_reads_the_sessions_client_series() {
+        // Clients publish under the session's `job` label, so the per-job
+        // snapshot a tuner samples must see their batches and latency.
+        let table = build_table(3, 64);
+        let session = DppSession::launch(table, spec(3), 2).unwrap();
+        let reg = dsi_obs::Registry::new();
+        session.attach_registry(&reg);
+        let mut client = session.client();
+        assert_eq!(drain_labels(&mut client).len(), 192);
+        session.shutdown();
+        let signals = dsi_obs::SignalSnapshot::sample_job(&reg, "sess5");
+        assert!(signals.client_batches > 0, "{signals:?}");
+        assert!(signals.fetch_p99 > 0.0, "{signals:?}");
+    }
+
+    #[test]
     fn pipelined_workers_deliver_every_row_exactly_once() {
         let table = build_table(3, 64);
         let mut spec = spec(3);
@@ -1152,10 +984,10 @@ mod tests {
 
     #[test]
     fn pipelined_report_matches_sequential_and_copying_charges_copies() {
-        // Same deterministic table seed four ways: {sequential, pipelined}
-        // × {fastpath, copying}. A single worker makes split order — and
-        // therefore every f64 accumulation order — identical, so the
-        // reports must agree field-for-field modulo copied_bytes.
+        // Same deterministic table seed at depths {0, 1, 4} plus a copying
+        // run. A single worker makes split order — and therefore every f64
+        // accumulation order — identical, so the reports must be equal
+        // once the wall-clock kernel timings are zeroed.
         let run = |read_ahead: usize, fastpath: bool| -> WorkerReport {
             let table = build_table(3, 64);
             let mut spec = spec(3);
@@ -1165,25 +997,20 @@ mod tests {
             let mut client = session.client();
             let labels = drain_labels(&mut client);
             assert_eq!(labels, (0..192).collect::<Vec<_>>());
-            session.shutdown()
+            let mut report = session.shutdown();
+            report.columnar_kernel_nanos = Default::default();
+            report
         };
         let seq = run(0, true);
-        let piped = run(4, true);
-        assert_eq!(seq.samples, piped.samples);
-        assert_eq!(seq.splits, piped.splits);
-        assert_eq!(seq.batches, piped.batches);
-        assert_eq!(seq.storage_rx_bytes, piped.storage_rx_bytes);
-        assert_eq!(seq.storage_wanted_bytes, piped.storage_wanted_bytes);
-        assert_eq!(seq.uncompressed_bytes, piped.uncompressed_bytes);
-        assert_eq!(seq.transform_cycles, piped.transform_cycles);
-        assert_eq!(seq.extract_cycles, piped.extract_cycles);
         assert_eq!(seq.copied_bytes, 0);
-        assert_eq!(piped.copied_bytes, 0);
+        for read_ahead in [1, 4] {
+            assert_eq!(run(read_ahead, true), seq, "read_ahead={read_ahead}");
+        }
 
         // The copying ablation decodes identical rows but pays the legacy
         // memcpy volume: full source assembly plus per-stream scratch.
         let copying = run(4, false);
-        assert_eq!(copying.samples, piped.samples);
+        assert_eq!(copying.samples, seq.samples);
         assert_eq!(
             copying.copied_bytes,
             copying.storage_rx_bytes + copying.storage_wanted_bytes

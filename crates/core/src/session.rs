@@ -98,9 +98,9 @@ pub struct SessionSpec {
     /// transform the canonical copy once, and fan results out to members.
     pub dedup: Option<DedupConfig>,
     /// Splits each worker prefetches ahead of its transform stage. `0`
-    /// (the default) processes splits sequentially; `n > 0` runs the
-    /// three-stage software pipeline (fetch+decode → transform →
-    /// batch/load) with an `n`-deep decode read-ahead buffer.
+    /// (the default) runs the worker's fetch → transform → deliver stages
+    /// inline on its thread; `n > 0` runs the same stages as a threaded
+    /// software pipeline with an `n`-deep decode read-ahead buffer.
     pub read_ahead: usize,
     /// Zero-copy pooled decode on the extract path. Disable to replay the
     /// legacy copying decode (ablation baseline).

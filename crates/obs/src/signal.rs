@@ -85,9 +85,9 @@ impl SignalSnapshot {
         Self::sample_inner(reg, &[])
     }
 
-    /// Samples trainer/client series stamped with a `job` label, as
-    /// published by multi-tenant sessions; stage times and fastpath
-    /// gauges are process-wide and read unlabeled.
+    /// Samples the trainer, client and fastpath series stamped with a
+    /// `job` label, as published by sessions; stage times and master
+    /// gauges are read unlabeled.
     pub fn sample_job(reg: &Registry, job: &str) -> Self {
         Self::sample_inner(reg, &[("job", job)])
     }
@@ -98,12 +98,16 @@ impl SignalSnapshot {
                 reg.gauge_value(names::TRAINER_STALL_FRACTION, job_labels),
             )
             .clamp(0.0, 1.0),
-            fetch_p99: hist_quantile(reg, names::CLIENT_FETCH_SECONDS, &[], 0.99),
-            starved_polls: reg.counter_value(names::CLIENT_STARVED_POLLS_TOTAL, &[]),
-            client_batches: reg.counter_value(names::CLIENT_BATCHES_TOTAL, &[]),
-            pool_hit_ratio: finite_or_zero(reg.gauge_value(names::FASTPATH_POOL_HIT_RATIO, &[]))
-                .clamp(0.0, 1.0),
-            prefetch_depth: finite_or_zero(reg.gauge_value(names::FASTPATH_PREFETCH_DEPTH, &[])),
+            fetch_p99: hist_quantile(reg, names::CLIENT_FETCH_SECONDS, job_labels, 0.99),
+            starved_polls: reg.counter_value(names::CLIENT_STARVED_POLLS_TOTAL, job_labels),
+            client_batches: reg.counter_value(names::CLIENT_BATCHES_TOTAL, job_labels),
+            pool_hit_ratio: finite_or_zero(
+                reg.gauge_value(names::FASTPATH_POOL_HIT_RATIO, job_labels),
+            )
+            .clamp(0.0, 1.0),
+            prefetch_depth: finite_or_zero(
+                reg.gauge_value(names::FASTPATH_PREFETCH_DEPTH, job_labels),
+            ),
             extract_secs: stage_sum(reg, stage::EXTRACT),
             transform_secs: stage_sum(reg, stage::TRANSFORM),
             load_secs: stage_sum(reg, stage::LOAD),

@@ -100,9 +100,14 @@ fn injected_worker_crashes_mid_split_never_lose_or_duplicate_rows() {
         FaultEvent::new(HookPoint::WorkerSplit, 7, FaultKind::WorkerCrash),
     ]));
     let table = build_table(4, 100);
-    let session =
-        DppSession::launch_chaos(table, spec(4), 3, Some(std::sync::Arc::clone(&injector)))
-            .unwrap();
+    let session = DppSession::launch_observed_chaos(
+        table,
+        spec(4),
+        3,
+        None,
+        Some(std::sync::Arc::clone(&injector)),
+    )
+    .unwrap();
     let mut client = session.client();
     let mut seen = HashSet::new();
     while let Some(tensor) = client.next_batch() {

@@ -321,10 +321,11 @@ fn wire_reconnects_during_fetch_preserve_exactly_once() {
     ]);
     let injector = FaultInjector::new(plan);
     let table = wire_table(23);
-    let session = DppSession::launch_chaos(
+    let session = DppSession::launch_observed_chaos(
         table,
         wire_spec(Transport::Tcp(WireConfig::plaintext())),
         2,
+        None,
         Some(injector),
     )
     .unwrap();
