@@ -25,7 +25,8 @@ use trainer::{loading_sweep, onhost_baseline, GpuDemand, StallSim};
 use transforms::{AccelModel, TransformOp, TransformPlan};
 
 /// Regression gate over previously written `BENCH_*.json` artifacts
-/// (`figures gate [fastpath] [wire]`; no targets = both). Re-reads the JSON
+/// (`figures gate [fastpath] [durability] [autotune] [wire]`; no targets =
+/// all four, see [`GATES`]). Re-reads the JSON
 /// the ablations just emitted in the working directory — string-scan, the
 /// workspace serde shim cannot parse — and returns a nonzero exit status
 /// when a hot-path regression slipped in, so CI fails the build:
@@ -156,105 +157,102 @@ const PAPER_MEAN_IO: u64 = 23_200;
 /// the production configuration power provisioning assumes.
 const COALESCED_MEAN_IO: u64 = 1 << 20;
 
+/// An experiment runner; its flag is `--smoke`.
+type Run = fn(bool);
+
+/// Every experiment, in run order. No name, or `all`, runs every one.
+const EXPERIMENTS: &[(&str, Run)] = &[
+    ("fig1", |_| fig1()),
+    ("fig2", |_| fig2()),
+    ("fig4", |_| fig4()),
+    ("fig5", |_| fig5()),
+    ("fig6", |_| fig6()),
+    ("fig7", |_| fig7()),
+    ("fig8", |_| fig8()),
+    ("fig9", |_| fig9()),
+    ("table2", |_| table2()),
+    ("table3", |_| table3()),
+    ("table4", |_| table4()),
+    ("table5", |_| table5()),
+    ("table6", |_| table6()),
+    ("table7", |_| table7()),
+    ("table8", |_| table8()),
+    ("table9", |_| table9()),
+    ("table10", |_| table10()),
+    ("table11", |_| table11()),
+    ("gap", |_| gap()),
+    ("accel", |_| accel()),
+    ("codesign", |_| codesign()),
+    ("dedup", dedup_ablation),
+    ("fastpath", fastpath_ablation),
+    ("wire", wire_ablation),
+    ("durability", durability_ablation),
+    ("trace", trace_ablation),
+    ("tenancy", tenancy_ablation),
+    ("autotune", autotune_ablation),
+    ("fleet", |_| fleet()),
+    ("capacity", |_| capacity()),
+];
+
+/// The names `figures` accepts: every experiment, plus `all`.
+fn experiment_names() -> Vec<&'static str> {
+    let mut known: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    known.push("all");
+    known
+}
+
+/// The artifacts `figures gate` checks; no name checks all four.
+const GATES: [&str; 4] = ["fastpath", "durability", "autotune", "wire"];
+
+/// Fails on any name outside `known`, so a typo in a CI step fails the
+/// step instead of running nothing.
+fn check_names(names: &[String], known: &[&str]) -> Result<(), String> {
+    let unknown: Vec<&str> = names
+        .iter()
+        .map(String::as_str)
+        .filter(|n| !known.contains(n))
+        .collect();
+    if unknown.is_empty() {
+        Ok(())
+    } else {
+        Err(format!(
+            "unknown name {}; valid names: {}",
+            unknown.join(", "),
+            known.join(" ")
+        ))
+    }
+}
+
+/// Writes a bench artifact, or exits nonzero naming the path: a `gate`
+/// step after a failed write must not check the stale committed file.
+fn write_artifact(path: &str, body: &str) {
+    if let Err(e) = std::fs::write(path, body) {
+        eprintln!("figures: could not write {path}: {e}");
+        std::process::exit(1);
+    }
+    println!("(wrote {path})");
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let args: Vec<String> = args.into_iter().filter(|a| a != "--smoke").collect();
+    let check = |names: &[String], known: &[&str]| {
+        if let Err(e) = check_names(names, known) {
+            eprintln!("figures: {e}");
+            std::process::exit(2);
+        }
+    };
     if args.first().map(String::as_str) == Some("gate") {
+        check(&args[1..], &GATES);
         std::process::exit(gate(&args[1..]));
     }
+    check(&args, &experiment_names());
     let all = args.is_empty() || args.iter().any(|a| a == "all");
-    let want = |name: &str| all || args.iter().any(|a| a == name);
-
-    if want("fig1") {
-        fig1();
-    }
-    if want("fig2") {
-        fig2();
-    }
-    if want("fig4") {
-        fig4();
-    }
-    if want("fig5") {
-        fig5();
-    }
-    if want("fig6") {
-        fig6();
-    }
-    if want("fig7") {
-        fig7();
-    }
-    if want("fig8") {
-        fig8();
-    }
-    if want("fig9") {
-        fig9();
-    }
-    if want("table2") {
-        table2();
-    }
-    if want("table3") {
-        table3();
-    }
-    if want("table4") {
-        table4();
-    }
-    if want("table5") {
-        table5();
-    }
-    if want("table6") {
-        table6();
-    }
-    if want("table7") {
-        table7();
-    }
-    if want("table8") {
-        table8();
-    }
-    if want("table9") {
-        table9();
-    }
-    if want("table10") {
-        table10();
-    }
-    if want("table11") {
-        table11();
-    }
-    if want("gap") {
-        gap();
-    }
-    if want("accel") {
-        accel();
-    }
-    if want("codesign") {
-        codesign();
-    }
-    if want("dedup") {
-        dedup_ablation(smoke);
-    }
-    if want("fastpath") {
-        fastpath_ablation(smoke);
-    }
-    if want("wire") {
-        wire_ablation(smoke);
-    }
-    if want("durability") {
-        durability_ablation(smoke);
-    }
-    if want("trace") {
-        trace_ablation(smoke);
-    }
-    if want("tenancy") {
-        tenancy_ablation(smoke);
-    }
-    if want("autotune") {
-        autotune_ablation(smoke);
-    }
-    if want("fleet") {
-        fleet();
-    }
-    if want("capacity") {
-        capacity();
+    for (name, run) in EXPERIMENTS {
+        if all || args.iter().any(|a| a == name) {
+            run(smoke);
+        }
     }
 }
 
@@ -1600,11 +1598,7 @@ fn fastpath_ablation(smoke: bool) {
         },
         r_on.samples,
     );
-    if let Err(e) = std::fs::write("BENCH_fastpath.json", &json) {
-        eprintln!("(could not write BENCH_fastpath.json: {e})");
-    } else {
-        println!("(wrote BENCH_fastpath.json)");
-    }
+    write_artifact("BENCH_fastpath.json", &json);
 }
 
 fn wire_ablation(smoke: bool) {
@@ -1750,11 +1744,7 @@ fn wire_ablation(smoke: bool) {
         secure.2.wire_reconnects,
         secure.2.worker_samples,
     );
-    if let Err(e) = std::fs::write("BENCH_wire.json", &json) {
-        eprintln!("(could not write BENCH_wire.json: {e})");
-    } else {
-        println!("(wrote BENCH_wire.json)");
-    }
+    write_artifact("BENCH_wire.json", &json);
 }
 
 /// Extension (durability): replicated, self-healing Tectonic under replica
@@ -1833,7 +1823,8 @@ fn durability_ablation(smoke: bool) {
                 samples += t.batch_size() as u64;
             }
             let secs = start.elapsed().as_secs_f64().max(1e-9);
-            session.shutdown();
+            let report = session.shutdown();
+            assert_eq!(report.samples, samples, "exactly-once delivery");
             samples as f64 / secs
         };
         let mut qps_base = clean_epoch();
@@ -1883,7 +1874,8 @@ fn durability_ablation(smoke: bool) {
             }
         }
         let secs = start.elapsed().as_secs_f64().max(1e-9);
-        session.shutdown();
+        let report = session.shutdown();
+        assert_eq!(report.samples, samples, "exactly-once delivery");
         // Foreground is done; drain whatever backlog the per-batch budget
         // left, still in budgeted pumps.
         while cluster.pump_rebuild(budget_per_batch).remaining > 0 {}
@@ -1972,11 +1964,7 @@ fn durability_ablation(smoke: bool) {
         r2.under_replicated_final,
         r3.samples,
     );
-    if let Err(e) = std::fs::write("BENCH_durability.json", &json) {
-        eprintln!("(could not write BENCH_durability.json: {e})");
-    } else {
-        println!("(wrote BENCH_durability.json)");
-    }
+    write_artifact("BENCH_durability.json", &json);
 }
 
 /// Extension (trace): end-to-end per-batch distributed tracing. Measures
@@ -2185,17 +2173,10 @@ fn trace_ablation(smoke: bool) {
         tr.categories.trainer * 1e3,
         tr.end_to_end_p50_ms,
     );
-    if let Err(e) = std::fs::write("BENCH_trace.json", &json) {
-        eprintln!("(could not write BENCH_trace.json: {e})");
-    } else {
-        println!("(wrote BENCH_trace.json)");
-    }
+    write_artifact("BENCH_trace.json", &json);
     let perfetto = dsi_trace::perfetto_json(&perfetto_spans);
-    if let Err(e) = std::fs::write("PERFETTO_trace.json", &perfetto) {
-        eprintln!("(could not write PERFETTO_trace.json: {e})");
-    } else {
-        println!("(wrote PERFETTO_trace.json — load it at https://ui.perfetto.dev)");
-    }
+    write_artifact("PERFETTO_trace.json", &perfetto);
+    println!("(load it at https://ui.perfetto.dev)");
 }
 
 /// Per-tenant measurements from one arm of the tenancy ablation.
@@ -2480,19 +2461,17 @@ fn tenancy_ablation(smoke: bool) {
         tenant_json(&static_stats[1]),
         tenant_json(&static_stats[2]),
     );
-    if let Err(e) = std::fs::write("BENCH_tenancy.json", &json) {
-        eprintln!("(could not write BENCH_tenancy.json: {e})");
-    } else {
-        println!("(wrote BENCH_tenancy.json)");
-    }
+    write_artifact("BENCH_tenancy.json", &json);
 }
 
 // ------------------------------------------------- extension experiments
 
 /// Autoscaler trace: a virtual-time DPP session converging onto RM1's
-/// trainer demand from one worker (the §III-B1 controller in action).
+/// trainer demand from one worker (the §III-B1 controller in action),
+/// simulated by `dsi_tune::run_scenario` with the watermark scaler as the
+/// policy and the measured per-worker rate as the only binding stage.
 fn fleet() {
-    use dpp::{AutoScaler, FleetSim, FleetTrace};
+    use dsi_tune::{run_scenario, Scenario};
     let (lab, projection, report) = measure(RmClass::Rm1);
     let scale = feature_scale(&lab, &projection);
     let tax = DatacenterTax::production();
@@ -2500,9 +2479,10 @@ fn fleet() {
     // One trainer node of RM1 demand, in samples/s.
     let tensor_bytes = report.transform_tx_bytes as f64 / report.samples as f64 * scale;
     let demand_qps = lab.profile.trainer_node_demand / tensor_bytes;
-    let sim = FleetSim::new(NodeSpec::c_v1(), per_sample, demand_qps);
-    let mut scaler = AutoScaler::default();
-    let trace = sim.run(&mut scaler, 1, 1_800.0);
+    let per_worker_qps = NodeSpec::c_v1().max_rate(&per_sample);
+    let s = Scenario::fixed_rate(demand_qps, per_worker_qps);
+    let trace = run_scenario(&s, &mut s.static_policy());
+    let batch = s.initial.batch_size as f64;
     let rows: Vec<Vec<String>> = trace
         .points
         .iter()
@@ -2510,15 +2490,15 @@ fn fleet() {
         .map(|pt| {
             vec![
                 f(pt.t, 0),
-                pt.workers.to_string(),
-                f(pt.buffered, 0),
+                pt.knobs.workers.to_string(),
+                f(pt.buffered / batch, 0),
                 f(pt.supply / 1e3, 1),
-                if pt.stalled {
+                if pt.stall > 0.0 {
                     "STALL".into()
                 } else {
                     String::new()
                 },
-                "#".repeat(pt.workers.min(60)),
+                "#".repeat(pt.knobs.workers.min(60)),
             ]
         })
         .collect();
@@ -2527,12 +2507,15 @@ fn fleet() {
         &["t (s)", "workers", "buffered", "kQPS", "", ""],
         &rows,
     );
+    // Share of ticks with any stall (not `stall_fraction`, which weights
+    // each tick by its deficit).
+    let stalled = trace.points.iter().filter(|p| p.stall > 0.0).count();
     println!(
         "(ideal {:.1} workers for {:.0}k samples/s; converged to {} with {:.1}% time stalled — paper Table IX: 24.2 workers/trainer)",
-        FleetTrace::ideal_workers(demand_qps, sim.per_worker_qps()),
+        demand_qps / per_worker_qps,
         demand_qps / 1e3,
-        trace.final_workers,
-        trace.stall_fraction * 100.0
+        trace.final_knobs.workers,
+        stalled as f64 / trace.points.len() as f64 * 100.0
     );
 }
 
@@ -2687,9 +2670,44 @@ fn autotune_ablation(smoke: bool) {
         scenarios[0].stall_target,
         blocks.join(",\n"),
     );
-    if let Err(e) = std::fs::write("BENCH_autotune.json", &json) {
-        eprintln!("(could not write BENCH_autotune.json: {e})");
-    } else {
-        println!("(wrote BENCH_autotune.json)");
+    write_artifact("BENCH_autotune.json", &json);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(v: &[&str]) -> Vec<String> {
+        v.iter().map(|n| n.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_experiment_is_rejected_with_the_valid_names() {
+        let err = check_names(&names(&["fig7", "nosuch"]), &experiment_names()).unwrap_err();
+        assert!(
+            err.starts_with("unknown name nosuch; valid names: fig1 "),
+            "{err}"
+        );
+        assert!(err.ends_with(" fleet capacity all"), "{err}");
+    }
+
+    #[test]
+    fn every_experiment_and_all_are_accepted() {
+        let known = experiment_names();
+        let every: Vec<String> = known.iter().map(|n| n.to_string()).collect();
+        assert_eq!(check_names(&every, &known), Ok(()));
+        assert_eq!(check_names(&[], &known), Ok(()));
+    }
+
+    #[test]
+    fn gate_rejects_unknown_and_ungated_targets() {
+        for target in ["nosuch", "trace", "tenancy", "all"] {
+            assert!(
+                check_names(&names(&[target]), &GATES).is_err(),
+                "gate {target} has no gate"
+            );
+        }
+        assert_eq!(check_names(&names(&GATES), &GATES), Ok(()));
+        assert_eq!(check_names(&[], &GATES), Ok(()));
     }
 }

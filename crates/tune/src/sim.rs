@@ -1,16 +1,19 @@
-//! Virtual-time pipeline simulation for tuner evaluation.
+//! Virtual-time pipeline simulation: the workspace's one analytic DPP
+//! session, for runs where executing every byte is unnecessary (hours of
+//! training, hundreds of workers).
 //!
-//! Extends the analytic style of `dpp::FleetSim` with a pipeline model
-//! in which every knob matters: per-worker supply is the minimum of an
-//! extract stage (storage fetch latency hidden by `read_ahead`), a
-//! transform stage (scaled sub-linearly by `parallelism`), and a load
-//! stage (fixed per-batch overhead amortized by `batch_size`). The
-//! trainer drains an aggregate sample buffer; a tick with an empty
-//! buffer and a supply deficit is (fractionally) stalled. Each tick the
-//! sim synthesizes the same [`TunerSignals`] a live session would
-//! publish and lets a [`TunerPolicy`] move the knobs, so the static
-//! watermark scaler and the closed-loop tuner compete on identical,
-//! deterministic scenarios.
+//! Per-worker supply is the minimum of an extract stage (storage fetch
+//! latency hidden by `read_ahead`), a transform stage (scaled
+//! sub-linearly by `parallelism`), and a load stage (fixed per-batch
+//! overhead amortized by `batch_size`). The trainer drains an aggregate
+//! sample buffer; a tick with an empty buffer and a supply deficit is
+//! (fractionally) stalled. Each tick the sim synthesizes the same
+//! [`TunerSignals`] a live session would publish and lets a
+//! [`TunerPolicy`] move the knobs, so the static watermark scaler and the
+//! closed-loop tuner compete on identical, deterministic scenarios.
+//! [`Scenario::fixed_rate`] pins every knob but `workers` to a measured
+//! per-worker rate: the §III-B1 autoscaler converging a fleet onto
+//! trainer demand (`figures fleet`).
 
 use dpp::{AutoScaler, KnobBounds, Knobs, ScalerConfig, TunerPolicy, TunerSignals};
 use dsi_obs::SignalSnapshot;
@@ -157,6 +160,39 @@ impl Scenario {
         ]
     }
 
+    /// A single-stage fleet: every worker supplies `per_worker_qps` and
+    /// only the worker count moves — the §III-B1 watermark controller's
+    /// setting, with 256-sample batches, 8-batch worker buffers, 10 s
+    /// ticks and the worker fences of [`ScalerConfig::default`]. Transform
+    /// and load are non-binding; set `initial.workers` and
+    /// `duration_secs` for the run at hand.
+    pub fn fixed_rate(demand_qps: f64, per_worker_qps: f64) -> Self {
+        let scaler = ScalerConfig::default();
+        Self {
+            name: "fixed-rate",
+            demand_qps,
+            extract_qps: per_worker_qps,
+            transform_qps: f64::INFINITY,
+            load_per_sample: 0.0,
+            batch_overhead: 0.0,
+            bounds: KnobBounds {
+                workers: (scaler.min_workers, scaler.max_workers),
+                read_ahead: (0, 0),
+                batch_size: (256, 256),
+                parallelism: (1, 1),
+            },
+            initial: Knobs {
+                workers: 1,
+                read_ahead: 0,
+                batch_size: 256,
+                parallelism: 1,
+            },
+            tick_secs: 10.0,
+            duration_secs: 1_800.0,
+            ..Self::base()
+        }
+    }
+
     /// Shrinks the run for CI smoke (same shape, quarter duration).
     pub fn smoke(mut self) -> Self {
         self.duration_secs = (self.duration_secs / 4.0).max(400.0);
@@ -250,13 +286,7 @@ pub struct TuneTrace {
 }
 
 impl TuneTrace {
-    fn from_points(
-        points: Vec<TunePoint>,
-        tick: f64,
-        duration: f64,
-        target: f64,
-        policy: &str,
-    ) -> Self {
+    fn from_points(points: Vec<TunePoint>, duration: f64, target: f64, policy: &str) -> Self {
         let n = points.len().max(1);
         let total: f64 = points.iter().map(|p| p.stall).sum();
         let tail = &points[points.len() - n.div_ceil(3)..];
@@ -289,11 +319,6 @@ impl TuneTrace {
             final_knobs: points.last().map(|p| p.knobs).unwrap_or_default(),
             points,
         }
-        .with_tick(tick)
-    }
-
-    fn with_tick(self, _tick: f64) -> Self {
-        self
     }
 }
 
@@ -389,7 +414,6 @@ pub fn run_scenario(scenario: &Scenario, policy: &mut dyn TunerPolicy) -> TuneTr
     }
     TuneTrace::from_points(
         points,
-        scenario.tick_secs,
         scenario.duration_secs,
         scenario.stall_target,
         policy.name(),
@@ -504,7 +528,10 @@ mod tests {
 
     #[test]
     fn bounds_hold_at_every_simulated_tick() {
-        for s in Scenario::all() {
+        for s in Scenario::all()
+            .into_iter()
+            .chain([Scenario::fixed_rate(240_000.0, 10_000.0)])
+        {
             let trace = run_scenario(&s, &mut tuner_for(&s));
             for p in &trace.points {
                 let b = s.bounds;
@@ -525,9 +552,134 @@ mod tests {
 
     #[test]
     fn determinism_same_seed_same_trace() {
-        let s = Scenario::extract_bound();
-        let a = run_scenario(&s, &mut tuner_for(&s));
-        let b = run_scenario(&s, &mut tuner_for(&s));
-        assert_eq!(a.points, b.points);
+        for s in [
+            Scenario::extract_bound(),
+            Scenario::fixed_rate(240_000.0, 10_000.0),
+        ] {
+            let a = run_scenario(&s, &mut tuner_for(&s));
+            let b = run_scenario(&s, &mut tuner_for(&s));
+            assert_eq!(a.points, b.points);
+        }
+    }
+
+    // The §III-B1 watermark controller on a single-stage fleet.
+
+    /// 10k samples/s per worker (C-v1's 45 G cycles/s at 4.5 M
+    /// cycles/sample) against 240k samples/s of demand: ~24 workers.
+    fn rm_like(initial_workers: usize, duration_secs: f64) -> Scenario {
+        let mut s = Scenario::fixed_rate(240_000.0, 10_000.0);
+        s.initial.workers = initial_workers;
+        s.duration_secs = duration_secs;
+        s
+    }
+
+    /// Share of ticks with any stall (unweighted by deficit depth).
+    fn stalled_ticks(trace: &TuneTrace) -> f64 {
+        let stalled = trace.points.iter().filter(|p| p.stall > 0.0).count();
+        stalled as f64 / trace.points.len() as f64
+    }
+
+    #[test]
+    fn autoscaler_converges_to_demand_and_removes_stalls() {
+        let s = rm_like(1, 4_000.0);
+        let trace = run_scenario(&s, &mut s.static_policy());
+        let ideal = s.demand_qps / s.per_worker_qps(&s.initial);
+        let last = trace.final_knobs.workers;
+        // Converged near the ideal fleet size without gross over-provisioning.
+        assert!((last as f64) >= ideal, "final {last} vs ideal {ideal:.1}");
+        assert!(
+            last as f64 <= ideal * 1.8,
+            "final {last} vs ideal {ideal:.1}"
+        );
+        // Early stalls while ramping, none at the end.
+        let late = &trace.points[trace.points.len() / 2..];
+        assert!(
+            late.iter().all(|p| p.stall == 0.0),
+            "stalls after convergence"
+        );
+        assert!(stalled_ticks(&trace) < 0.5);
+    }
+
+    #[test]
+    fn adequate_initial_fleet_never_stalls() {
+        let s = rm_like(30, 2_000.0);
+        let trace = run_scenario(&s, &mut s.static_policy());
+        assert_eq!(stalled_ticks(&trace), 0.0);
+    }
+
+    #[test]
+    fn overprovisioned_fleet_is_drained() {
+        let s = rm_like(120, 6_000.0);
+        let trace = run_scenario(&s, &mut s.static_policy());
+        assert!(
+            trace.final_knobs.workers < 120,
+            "should drain from 120, got {}",
+            trace.final_knobs.workers
+        );
+        assert_eq!(stalled_ticks(&trace), 0.0, "draining must not cause stalls");
+    }
+
+    #[test]
+    fn zero_min_workers_drains_fleet_to_zero() {
+        // Regression: the drain clamp was hardcoded to `workers - 1`, so a
+        // scaler configured with `min_workers: 0` could never empty the
+        // fleet even with zero demand. The clamp now honors the scaler's
+        // own floor; the fleet touches zero and (via the empty-fleet
+        // recovery path) bounces back rather than freezing.
+        let mut s = rm_like(4, 2_000.0);
+        s.demand_qps = 0.0;
+        s.bounds.workers.0 = 0;
+        let trace = run_scenario(&s, &mut s.static_policy());
+        assert!(
+            trace.points.iter().any(|p| p.knobs.workers == 0),
+            "fleet never reached zero workers: min over run = {}",
+            trace.points.iter().map(|p| p.knobs.workers).min().unwrap()
+        );
+        assert!(
+            trace.final_knobs.workers <= 1,
+            "idle fleet stayed scaled up"
+        );
+    }
+
+    #[test]
+    fn min_workers_floor_respected_while_draining() {
+        let mut s = rm_like(24, 2_000.0);
+        s.demand_qps = 0.0;
+        s.bounds.workers.0 = 3;
+        let trace = run_scenario(&s, &mut s.static_policy());
+        assert!(
+            trace.points.iter().all(|p| p.knobs.workers >= 3),
+            "fleet dipped below the configured floor"
+        );
+        assert_eq!(trace.final_knobs.workers, 3);
+    }
+
+    #[test]
+    fn demand_spikes_grow_the_fleet_back() {
+        // Converge at low demand, then raise demand mid-run.
+        let mut s = rm_like(1, 3_000.0);
+        s.demand_qps = 60_000.0;
+        let mut scaler = s.static_policy();
+        let low = run_scenario(&s, &mut scaler);
+        let low_workers = low.final_knobs.workers;
+        s.demand_qps = 240_000.0;
+        s.initial.workers = low_workers;
+        let high = run_scenario(&s, &mut scaler);
+        assert!(
+            high.final_knobs.workers > low_workers,
+            "fleet should grow {} -> {}",
+            low_workers,
+            high.final_knobs.workers
+        );
+        let late = &high.points[high.points.len() * 3 / 4..];
+        assert!(late.iter().all(|p| p.stall == 0.0));
+    }
+
+    #[test]
+    fn overprovisioning_metric() {
+        let s = rm_like(24, 2_000.0);
+        let trace = run_scenario(&s, &mut s.static_policy());
+        let f = trace.mean_workers / (s.demand_qps / s.per_worker_qps(&s.initial));
+        assert!(f > 0.9 && f < 2.0, "overprovisioning {f:.2}");
     }
 }
