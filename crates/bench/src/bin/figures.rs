@@ -13,7 +13,7 @@
 
 use dpp::{ExtractCostModel, WorkerReport};
 use dsi_bench::report::{f, pct, print_table};
-use dsi_bench::{LabConfig, RmLab};
+use dsi_bench::{BenchRecord, LabConfig, RmLab, Value};
 use dsi_types::{ByteSize, Projection};
 use dwrf::{CoalescePolicy, WriterOptions};
 use hwsim::{DatacenterTax, NodeSpec, PowerModel, ResourceVector};
@@ -26,10 +26,11 @@ use transforms::{AccelModel, TransformOp, TransformPlan};
 
 /// Regression gate over previously written `BENCH_*.json` artifacts
 /// (`figures gate [fastpath] [durability] [autotune] [wire]`; no targets =
-/// all four, see [`GATES`]). Re-reads the JSON
-/// the ablations just emitted in the working directory — string-scan, the
-/// workspace serde shim cannot parse — and returns a nonzero exit status
-/// when a hot-path regression slipped in, so CI fails the build:
+/// all four, see [`GATES`]). Reads the artifacts the ablations just wrote
+/// to the working directory through [`BenchRecord::parse`], panicking with
+/// the artifact's name on a missing artifact or key, and returns a nonzero
+/// exit status when a hot-path regression slipped in, so CI fails the
+/// build:
 ///
 /// - fastpath: `speedup_full_plan < 1.0` means the fastpath lost to the
 ///   copying baseline on the wide full-plan job (the regression this
@@ -41,31 +42,19 @@ use transforms::{AccelModel, TransformOp, TransformPlan};
 ///   reads keeping less than 50% of disk IOs means rebuild traffic is
 ///   swamping the epoch it is supposed to yield to.
 fn gate(targets: &[String]) -> i32 {
-    fn num(artifact: &str, body: &str, key: &str) -> f64 {
-        let pat = format!("\"{key}\":");
-        let at = body
-            .find(&pat)
-            .unwrap_or_else(|| panic!("{artifact} missing key {key:?}"));
-        let rest = body[at + pat.len()..].trim_start();
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(rest.len());
-        rest[..end]
-            .parse()
-            .unwrap_or_else(|_| panic!("{artifact} key {key:?} is not numeric"))
-    }
-    let read = |artifact: &str| {
-        std::fs::read_to_string(artifact).unwrap_or_else(|e| {
+    let num = |artifact: &str, key: &str| {
+        let body = std::fs::read_to_string(artifact).unwrap_or_else(|e| {
             panic!("{artifact} not found ({e}); run the matching ablation first")
-        })
+        });
+        let rec = BenchRecord::parse(&body).unwrap_or_else(|e| panic!("{artifact}: {e}"));
+        rec.num(key).unwrap_or_else(|e| panic!("{artifact}: {e}"))
     };
     let all = targets.is_empty();
     let want = |name: &str| all || targets.iter().any(|a| a == name);
     let mut failures = 0;
     if want("fastpath") {
-        let body = read("BENCH_fastpath.json");
-        let full = num("BENCH_fastpath.json", &body, "speedup_full_plan");
-        let narrow = num("BENCH_fastpath.json", &body, "speedup");
+        let full = num("BENCH_fastpath.json", "speedup_full_plan");
+        let narrow = num("BENCH_fastpath.json", "speedup");
         if full < 1.0 {
             eprintln!("gate FAIL fastpath: speedup_full_plan {full:.3} < 1.0");
             failures += 1;
@@ -74,9 +63,8 @@ fn gate(targets: &[String]) -> i32 {
         }
     }
     if want("durability") {
-        let body = read("BENCH_durability.json");
-        let under = num("BENCH_durability.json", &body, "under_replicated_final");
-        let share = num("BENCH_durability.json", &body, "foreground_share");
+        let under = num("BENCH_durability.json", "under_replicated_final");
+        let share = num("BENCH_durability.json", "foreground_share");
         if under != 0.0 {
             eprintln!("gate FAIL durability: {under:.0} chunks left under-replicated");
             failures += 1;
@@ -94,27 +82,13 @@ fn gate(targets: &[String]) -> i32 {
         }
     }
     if want("autotune") {
-        let body = read("BENCH_autotune.json");
         // The tuner must both converge faster and land on lower
         // steady-state stall than the static scaler on the two scenarios
         // the worker knob alone cannot fix.
         for scen in ["extract_bound", "trainer_bound"] {
-            let t_ttc = num("BENCH_autotune.json", &body, &format!("{scen}_tuner_ttc_s"));
-            let s_ttc = num(
-                "BENCH_autotune.json",
-                &body,
-                &format!("{scen}_static_ttc_s"),
-            );
-            let t_ss = num(
-                "BENCH_autotune.json",
-                &body,
-                &format!("{scen}_tuner_steady_stall"),
-            );
-            let s_ss = num(
-                "BENCH_autotune.json",
-                &body,
-                &format!("{scen}_static_steady_stall"),
-            );
+            let metric = |name: &str| num("BENCH_autotune.json", &format!("{scen}_{name}"));
+            let (t_ttc, s_ttc) = (metric("tuner_ttc_s"), metric("static_ttc_s"));
+            let (t_ss, s_ss) = (metric("tuner_steady_stall"), metric("static_steady_stall"));
             if t_ttc >= s_ttc || t_ss >= s_ss {
                 eprintln!(
                     "gate FAIL autotune: {scen} tuner (ttc {t_ttc:.0}s, steady {t_ss:.4}) \
@@ -130,9 +104,8 @@ fn gate(targets: &[String]) -> i32 {
         }
     }
     if want("wire") {
-        let body = read("BENCH_wire.json");
-        let inproc = num("BENCH_wire.json", &body, "samples_per_sec_inprocess");
-        let tcp = num("BENCH_wire.json", &body, "samples_per_sec_tcp");
+        let inproc = num("BENCH_wire.json", "samples_per_sec_inprocess");
+        let tcp = num("BENCH_wire.json", "samples_per_sec_tcp");
         let ratio = tcp / inproc.max(1e-9);
         if ratio < 0.75 {
             eprintln!(
@@ -231,6 +204,33 @@ fn write_artifact(path: &str, body: &str) {
         std::process::exit(1);
     }
     println!("(wrote {path})");
+}
+
+/// Drains a launched session through one client, then shuts it down:
+/// wall-clock samples/s over the drain and the session's report. Panics
+/// unless every sample arrived exactly once.
+fn drain(session: dpp::DppSession) -> (f64, WorkerReport) {
+    let mut client = session.client();
+    let start = std::time::Instant::now();
+    let mut samples = 0u64;
+    while let Some(t) = client.next_batch() {
+        samples += t.batch_size() as u64;
+    }
+    let secs = start.elapsed().as_secs_f64().max(1e-9);
+    let report = session.shutdown();
+    assert_eq!(report.samples, samples, "exactly-once delivery");
+    (samples as f64 / secs, report)
+}
+
+/// Runs `trial` `n` times back to back and keeps the fastest samples/s,
+/// with the first trial's report (the max filters scheduler noise on small
+/// CI boxes; the first trial also warms the allocator and buffer pools).
+fn best_of<R>(n: usize, mut trial: impl FnMut() -> (f64, R)) -> (f64, R) {
+    let (mut best, first) = trial();
+    for _ in 1..n {
+        best = best.max(trial().0);
+    }
+    (best, first)
 }
 
 fn main() {
@@ -1404,7 +1404,7 @@ fn dedup_ablation(smoke: bool) {
         .expect("lab cluster has capacity");
     let mut spec = lab.session_spec(lab.rc_projection(), 128);
     spec.dedup = Some(dcfg);
-    lab.measure_worker_publishing(&spec, &reg);
+    lab.measure_worker(&spec).publish_metrics(&reg);
     let report = dsi_obs::PipelineReport::collect(&reg);
     println!(
         "PipelineReport dedup section: sets {}  rows {}  ratio {:.2}x  bytes saved {}  reuse hits {}",
@@ -1416,6 +1416,22 @@ fn dedup_ablation(smoke: bool) {
     );
 }
 
+/// The narrow exploratory job shape (§V, Table V) the fastpath and trace
+/// ablations share: every 12th logged feature, batch 256 and no transform
+/// plan, so coalesced over-reads make it extract-bound.
+fn extract_bound_spec(lab: &RmLab) -> dpp::SessionSpec {
+    let schema = lab.table.schema();
+    let narrow = Projection::new(schema.logged_ids().into_iter().step_by(12).collect());
+    let mut spec = lab.session_spec(narrow.clone(), 256);
+    spec.plan = TransformPlan::empty();
+    spec.sparse_ids = schema
+        .ids_of_kind(dsi_types::FeatureKind::Sparse)
+        .into_iter()
+        .filter(|f| narrow.contains(*f))
+        .collect();
+    spec
+}
+
 /// Fastpath ablation: the same seeded RM1 deployment consumed end to end
 /// (storage → DPP workers → client) with the hot path on — zero-copy
 /// pooled decode plus the three-stage worker pipeline — versus off — the
@@ -1425,7 +1441,6 @@ fn dedup_ablation(smoke: bool) {
 fn fastpath_ablation(smoke: bool) {
     use dedup::DedupConfig;
     use dpp::DppSession;
-    use std::time::Instant;
 
     let cfg = if smoke {
         LabConfig {
@@ -1478,49 +1493,20 @@ fn fastpath_ablation(smoke: bool) {
     // the wanted streams, so this job is extract-bound. Second, a wide RC
     // job with the full production transform plan (Amdahl: transform
     // cycles dilute the decode win).
-    let schema = lab.table.schema();
-    let narrow_ids: Vec<dsi_types::FeatureId> =
-        schema.logged_ids().into_iter().step_by(12).collect();
-    let narrow = Projection::new(narrow_ids);
-    let mut extract_bound = lab.session_spec(narrow.clone(), 256);
-    extract_bound.plan = TransformPlan::empty();
-    extract_bound.sparse_ids = schema
-        .ids_of_kind(dsi_types::FeatureKind::Sparse)
-        .into_iter()
-        .filter(|f| narrow.contains(*f))
-        .collect();
+    let extract_bound = extract_bound_spec(&lab);
     let wide = lab.rc_projection();
     let full_plan = lab.session_spec(wide, 256);
 
-    // One end-to-end run: launch a session over the same table, drain it
-    // through a client, report wall-clock throughput + worker telemetry.
-    let run = |base: &dpp::SessionSpec, read_ahead: usize, fastpath: bool| {
+    let best = |base: &dpp::SessionSpec, read_ahead: usize, fastpath: bool| {
         let mut spec = base.clone();
         spec.read_ahead = read_ahead;
         spec.fastpath = fastpath;
-        let session =
-            DppSession::launch(lab.table.clone(), spec, 2).expect("lab selection is non-empty");
-        let mut client = session.client();
-        let start = Instant::now();
-        let mut samples = 0u64;
-        while let Some(t) = client.next_batch() {
-            samples += t.batch_size() as u64;
-        }
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        let report = session.shutdown();
-        assert_eq!(report.samples, samples, "exactly-once delivery");
-        (samples as f64 / secs, report)
-    };
-    // Five trials per configuration, keeping the fastest (the first also
-    // warms the allocator and the buffer pool; the max filters scheduler
-    // noise on small CI boxes).
-    let best = |base: &dpp::SessionSpec, read_ahead: usize, fastpath: bool| {
-        let (mut q, r) = run(base, read_ahead, fastpath);
-        for _ in 0..4 {
-            let (qn, _) = run(base, read_ahead, fastpath);
-            q = q.max(qn);
-        }
-        (q, r)
+        best_of(5, || {
+            drain(
+                DppSession::launch(lab.table.clone(), spec.clone(), 2)
+                    .expect("lab selection is non-empty"),
+            )
+        })
     };
 
     // Read-ahead pipelining overlaps storage fetch with transform CPU,
@@ -1563,13 +1549,12 @@ fn fastpath_ablation(smoke: bool) {
     );
     let (_, _, _, speedup, r_on, r_off) = &results[0];
     let (_, _, _, full_speedup, _, _) = &results[1];
-    let reduction_str = if r_on.copied_bytes == 0 {
-        "eliminated entirely".to_string()
-    } else {
-        format!(
-            "{:.1}x fewer",
-            r_off.copied_bytes as f64 / r_on.copied_bytes.max(1) as f64
-        )
+    // Undefined when the fastpath copies nothing.
+    let reduction =
+        (r_on.copied_bytes > 0).then(|| r_off.copied_bytes as f64 / r_on.copied_bytes as f64);
+    let reduction_str = match reduction {
+        Some(x) => format!("{x:.1}x fewer"),
+        None => "eliminated entirely".into(),
     };
     println!(
         "(extract-bound job: {speedup:.2}x end-to-end samples/s with decode-path memcpys \
@@ -1579,32 +1564,24 @@ fn fastpath_ablation(smoke: bool) {
         r_on.copied_bytes as f64 / 1e6,
     );
 
-    let json = format!(
-        "{{\n  \"samples_per_sec_on\": {:.1},\n  \"samples_per_sec_off\": {:.1},\n  \
-         \"speedup\": {speedup:.3},\n  \"speedup_full_plan\": {full_speedup:.3},\n  \
-         \"copied_bytes_on\": {},\n  \"copied_bytes_off\": {},\n  \"copy_reduction\": {},\n  \
-         \"samples\": {},\n  \"smoke\": {smoke}\n}}\n",
-        results[0].1,
-        results[0].2,
-        r_on.copied_bytes,
-        r_off.copied_bytes,
-        if r_on.copied_bytes == 0 {
-            "null".to_string()
-        } else {
-            format!(
-                "{:.1}",
-                r_off.copied_bytes as f64 / r_on.copied_bytes.max(1) as f64
-            )
-        },
-        r_on.samples,
-    );
-    write_artifact("BENCH_fastpath.json", &json);
+    let mut rec = BenchRecord::default();
+    rec.put_num("samples_per_sec_on", results[0].1, 1)
+        .put_num("samples_per_sec_off", results[0].2, 1)
+        .put_num("speedup", *speedup, 3)
+        .put_num("speedup_full_plan", *full_speedup, 3)
+        .put_int("copied_bytes_on", r_on.copied_bytes)
+        .put_int("copied_bytes_off", r_off.copied_bytes);
+    if let Some(x) = reduction {
+        rec.put_num("copy_reduction", x, 1);
+    }
+    rec.put_int("samples", r_on.samples)
+        .put("smoke", Value::Bool(smoke));
+    write_artifact("BENCH_fastpath.json", &rec.to_json());
 }
 
 fn wire_ablation(smoke: bool) {
     use dpp::{DppSession, Transport, WireConfig};
     use dsi_obs::{PipelineReport, Registry};
-    use std::time::Instant;
 
     let cfg = if smoke {
         LabConfig {
@@ -1638,26 +1615,9 @@ fn wire_ablation(smoke: bool) {
         let session =
             DppSession::launch(lab.table.clone(), spec, 2).expect("lab selection is non-empty");
         session.attach_registry(&reg);
-        let mut client = session.client();
-        let start = Instant::now();
-        let mut samples = 0u64;
-        while let Some(t) = client.next_batch() {
-            samples += t.batch_size() as u64;
-        }
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        let report = session.shutdown();
-        assert_eq!(report.samples, samples, "exactly-once delivery");
-        (samples as f64 / secs, PipelineReport::collect(&reg))
+        (drain(session).0, PipelineReport::collect(&reg))
     };
     let trials = if smoke { 2 } else { 5 };
-    let best = |transport: Transport| {
-        let (mut q, r) = run(transport);
-        for _ in 1..trials {
-            let (qn, _) = run(transport);
-            q = q.max(qn);
-        }
-        (q, r)
-    };
 
     let key = 0x00D5_1F00;
     let variants = [
@@ -1676,7 +1636,7 @@ fn wire_ablation(smoke: bool) {
     let mut rows = Vec::new();
     let mut results = Vec::new();
     for (label, transport) in variants {
-        let (qps, pr) = best(transport);
+        let (qps, pr) = best_of(trials, || run(transport));
         rows.push(vec![
             label.into(),
             f(qps / 1e3, 1),
@@ -1722,29 +1682,24 @@ fn wire_ablation(smoke: bool) {
         secure.2.wire_encrypt_nanos as f64 / 1e6,
     );
 
-    let json = format!(
-        "{{\n  \"samples_per_sec_inprocess\": {:.1},\n  \"samples_per_sec_tcp\": {:.1},\n  \
-         \"samples_per_sec_tcp_cipher\": {:.1},\n  \"samples_per_sec_tcp_cipher_zip\": {:.1},\n  \
-         \"wire_frames\": {},\n  \"wire_payload_bytes\": {},\n  \"wire_tx_bytes\": {},\n  \
-         \"compression_ratio\": {:.3},\n  \"serialize_nanos\": {},\n  \"encrypt_nanos\": {},\n  \
-         \"deserialize_nanos\": {},\n  \"wire_tax_seconds\": {:.6},\n  \"reconnects\": {},\n  \
-         \"samples\": {},\n  \"smoke\": {smoke}\n}}\n",
-        inproc,
-        tcp.1,
-        results[2].1,
-        secure.1,
-        secure.2.wire_frames,
-        secure.2.wire_payload_bytes,
-        secure.2.wire_tx_bytes,
-        secure.2.wire_compression_ratio(),
-        secure.2.wire_serialize_nanos,
-        secure.2.wire_encrypt_nanos,
-        secure.2.wire_deserialize_nanos,
-        secure.2.wire_tax_seconds(),
-        secure.2.wire_reconnects,
-        secure.2.worker_samples,
-    );
-    write_artifact("BENCH_wire.json", &json);
+    let pr = &secure.2;
+    let mut rec = BenchRecord::default();
+    rec.put_num("samples_per_sec_inprocess", inproc, 1)
+        .put_num("samples_per_sec_tcp", tcp.1, 1)
+        .put_num("samples_per_sec_tcp_cipher", results[2].1, 1)
+        .put_num("samples_per_sec_tcp_cipher_zip", secure.1, 1)
+        .put_int("wire_frames", pr.wire_frames)
+        .put_int("wire_payload_bytes", pr.wire_payload_bytes)
+        .put_int("wire_tx_bytes", pr.wire_tx_bytes)
+        .put_num("compression_ratio", pr.wire_compression_ratio(), 3)
+        .put_int("serialize_nanos", pr.wire_serialize_nanos)
+        .put_int("encrypt_nanos", pr.wire_encrypt_nanos)
+        .put_int("deserialize_nanos", pr.wire_deserialize_nanos)
+        .put_num("wire_tax_seconds", pr.wire_tax_seconds(), 6)
+        .put_int("reconnects", pr.wire_reconnects)
+        .put_int("samples", pr.worker_samples)
+        .put("smoke", Value::Bool(smoke));
+    write_artifact("BENCH_wire.json", &rec.to_json());
 }
 
 /// Extension (durability): replicated, self-healing Tectonic under replica
@@ -1813,24 +1768,11 @@ fn durability_ablation(smoke: bool) {
         let spec = lab.session_spec(lab.rc_projection(), batch);
         let cluster = lab.table.cluster().clone();
 
-        let clean_epoch = || {
-            let session = DppSession::launch(lab.table.clone(), spec.clone(), 2)
-                .expect("lab selection is non-empty");
-            let mut client = session.client();
-            let start = Instant::now();
-            let mut samples = 0u64;
-            while let Some(t) = client.next_batch() {
-                samples += t.batch_size() as u64;
-            }
-            let secs = start.elapsed().as_secs_f64().max(1e-9);
-            let report = session.shutdown();
-            assert_eq!(report.samples, samples, "exactly-once delivery");
-            samples as f64 / secs
+        let launch = || {
+            DppSession::launch(lab.table.clone(), spec.clone(), 2)
+                .expect("lab selection is non-empty")
         };
-        let mut qps_base = clean_epoch();
-        for _ in 1..trials {
-            qps_base = qps_base.max(clean_epoch());
-        }
+        let (qps_base, _) = best_of(trials, || drain(launch()));
 
         // The rebuild epoch: same table, same spec, but the most-loaded
         // node dies a third of the way through, and every consumed batch
@@ -1855,8 +1797,7 @@ fn durability_ablation(smoke: bool) {
         cluster.reset_stats();
         let ios0 = cluster.total_stats().ios;
         let d0 = cluster.durability();
-        let session = DppSession::launch(lab.table.clone(), spec.clone(), 2)
-            .expect("lab selection is non-empty");
+        let session = launch();
         let mut client = session.client();
         let start = Instant::now();
         let mut samples = 0u64;
@@ -1940,31 +1881,31 @@ fn durability_ablation(smoke: bool) {
         r3.rebuilt_chunks,
     );
 
-    let json = format!(
-        "{{\n  \"samples_per_sec_baseline\": {:.1},\n  \"samples_per_sec_rebuild\": {:.1},\n  \
-         \"throughput_ratio\": {:.3},\n  \"foreground_share\": {:.4},\n  \
-         \"rebuild_ios\": {},\n  \"total_ios\": {},\n  \"rebuild_chunks\": {},\n  \
-         \"under_replicated_final\": {},\n  \"failovers\": {},\n  \
-         \"rebuild_budget_per_batch\": {},\n  \"r2_samples_per_sec_rebuild\": {:.1},\n  \
-         \"r2_foreground_share\": {:.4},\n  \"r2_rebuild_chunks\": {},\n  \
-         \"r2_under_replicated_final\": {},\n  \"samples\": {},\n  \"smoke\": {smoke}\n}}\n",
-        r3.qps_base,
-        r3.qps_rebuild,
-        r3.qps_rebuild / r3.qps_base.max(1e-9),
-        r3.foreground_share,
-        r3.rebuild_ios,
-        r3.total_ios,
-        r3.rebuilt_chunks,
-        r3.under_replicated_final.max(r2.under_replicated_final),
-        r3.failovers,
-        budget_per_batch,
-        r2.qps_rebuild,
-        r2.foreground_share,
-        r2.rebuilt_chunks,
-        r2.under_replicated_final,
-        r3.samples,
-    );
-    write_artifact("BENCH_durability.json", &json);
+    let mut rec = BenchRecord::default();
+    rec.put_num("samples_per_sec_baseline", r3.qps_base, 1)
+        .put_num("samples_per_sec_rebuild", r3.qps_rebuild, 1)
+        .put_num(
+            "throughput_ratio",
+            r3.qps_rebuild / r3.qps_base.max(1e-9),
+            3,
+        )
+        .put_num("foreground_share", r3.foreground_share, 4)
+        .put_int("rebuild_ios", r3.rebuild_ios)
+        .put_int("total_ios", r3.total_ios)
+        .put_int("rebuild_chunks", r3.rebuilt_chunks)
+        .put_int(
+            "under_replicated_final",
+            r3.under_replicated_final.max(r2.under_replicated_final),
+        )
+        .put_int("failovers", r3.failovers)
+        .put_int("rebuild_budget_per_batch", budget_per_batch)
+        .put_num("r2_samples_per_sec_rebuild", r2.qps_rebuild, 1)
+        .put_num("r2_foreground_share", r2.foreground_share, 4)
+        .put_int("r2_rebuild_chunks", r2.rebuilt_chunks)
+        .put_int("r2_under_replicated_final", r2.under_replicated_final)
+        .put_int("samples", r3.samples)
+        .put("smoke", Value::Bool(smoke));
+    write_artifact("BENCH_durability.json", &rec.to_json());
 }
 
 /// Extension (trace): end-to-end per-batch distributed tracing. Measures
@@ -1977,7 +1918,6 @@ fn trace_ablation(smoke: bool) {
     use dpp::DppSession;
     use dsi_obs::Registry;
     use dsi_trace::TraceConfig;
-    use std::time::Instant;
 
     let cfg = if smoke {
         LabConfig {
@@ -2008,16 +1948,8 @@ fn trace_ablation(smoke: bool) {
         let session =
             DppSession::launch_observed_chaos(lab.table.clone(), spec, 2, Some(&reg), None)
                 .expect("lab selection is non-empty");
-        let mut client = session.client();
-        let start = Instant::now();
-        let mut samples = 0u64;
-        while let Some(t) = client.next_batch() {
-            samples += t.batch_size() as u64;
-        }
-        let secs = start.elapsed().as_secs_f64().max(1e-9);
-        let report = session.shutdown();
-        assert_eq!(report.samples, samples, "exactly-once delivery");
-        (samples as f64 / secs, reg, samples)
+        let (qps, report) = drain(session);
+        (qps, reg, report.samples)
     };
     // ---- overhead: default sampling vs off, identical spec and seed.
     // Short runs are scheduler-noise-dominated, so trials interleave the
@@ -2040,17 +1972,7 @@ fn trace_ablation(smoke: bool) {
     // extract-bound job projects a narrow feature subset with no transform
     // plan (coalesced over-reads dominate); the transform-bound one runs
     // the full production plan tiled 8x over the wide RC projection.
-    let schema = lab.table.schema();
-    let narrow_ids: Vec<dsi_types::FeatureId> =
-        schema.logged_ids().into_iter().step_by(12).collect();
-    let narrow = Projection::new(narrow_ids);
-    let mut extract_spec = lab.session_spec(narrow.clone(), 256);
-    extract_spec.plan = TransformPlan::empty();
-    extract_spec.sparse_ids = schema
-        .ids_of_kind(dsi_types::FeatureKind::Sparse)
-        .into_iter()
-        .filter(|f| narrow.contains(*f))
-        .collect();
+    let extract_spec = extract_bound_spec(&lab);
     let mut transform_spec = lab.session_spec(lab.rc_projection(), 256);
     let tiled: Vec<TransformOp> = (0..8)
         .flat_map(|_| transform_spec.plan.ops().to_vec())
@@ -2142,38 +2064,26 @@ fn trace_ablation(smoke: bool) {
         print!("{}", dsi_trace::text_tree(&one));
     }
 
-    let (_, xr) = &reports[0];
-    let (_, tr) = &reports[1];
-    let json = format!(
-        "{{\n  \"samples_per_sec_off\": {qps_off:.1},\n  \"samples_per_sec_traced\": {qps_on:.1},\n  \
-         \"overhead_pct\": {overhead_pct:.3},\n  \"sample_one_in\": {},\n  \
-         \"sampled_spans\": {sampled_spans},\n  \
-         \"extract_bound\": {{\"traces\": {}, \"spans\": {}, \"verdict\": \"{}\", \
-         \"extract_ms\": {:.3}, \"transform_ms\": {:.3}, \"wire_ms\": {:.3}, \
-         \"trainer_ms\": {:.3}, \"end_to_end_p50_ms\": {:.3}}},\n  \
-         \"transform_bound\": {{\"traces\": {}, \"spans\": {}, \"verdict\": \"{}\", \
-         \"extract_ms\": {:.3}, \"transform_ms\": {:.3}, \"wire_ms\": {:.3}, \
-         \"trainer_ms\": {:.3}, \"end_to_end_p50_ms\": {:.3}}},\n  \
-         \"samples\": {samples},\n  \"smoke\": {smoke}\n}}\n",
-        dsi_trace::DEFAULT_SAMPLE_ONE_IN,
-        xr.traces,
-        xr.spans,
-        xr.verdict.as_str(),
-        xr.categories.extract * 1e3,
-        xr.categories.transform * 1e3,
-        xr.categories.wire * 1e3,
-        xr.categories.trainer * 1e3,
-        xr.end_to_end_p50_ms,
-        tr.traces,
-        tr.spans,
-        tr.verdict.as_str(),
-        tr.categories.extract * 1e3,
-        tr.categories.transform * 1e3,
-        tr.categories.wire * 1e3,
-        tr.categories.trainer * 1e3,
-        tr.end_to_end_p50_ms,
-    );
-    write_artifact("BENCH_trace.json", &json);
+    let mut rec = BenchRecord::default();
+    rec.put_num("samples_per_sec_off", qps_off, 1)
+        .put_num("samples_per_sec_traced", qps_on, 1)
+        .put_num("overhead_pct", overhead_pct, 3)
+        .put_int("sample_one_in", dsi_trace::DEFAULT_SAMPLE_ONE_IN.into())
+        .put_int("sampled_spans", sampled_spans as u64);
+    for (block, (_, r)) in ["extract_bound", "transform_bound"].iter().zip(&reports) {
+        let key = |name: &str| format!("{block}_{name}");
+        rec.put_int(&key("traces"), r.traces as u64)
+            .put_int(&key("spans"), r.spans as u64)
+            .put(&key("verdict"), Value::Str(r.verdict.as_str().into()))
+            .put_num(&key("extract_ms"), r.categories.extract * 1e3, 3)
+            .put_num(&key("transform_ms"), r.categories.transform * 1e3, 3)
+            .put_num(&key("wire_ms"), r.categories.wire * 1e3, 3)
+            .put_num(&key("trainer_ms"), r.categories.trainer * 1e3, 3)
+            .put_num(&key("end_to_end_p50_ms"), r.end_to_end_p50_ms, 3);
+    }
+    rec.put_int("samples", samples)
+        .put("smoke", Value::Bool(smoke));
+    write_artifact("BENCH_trace.json", &rec.to_json());
     let perfetto = dsi_trace::perfetto_json(&perfetto_spans);
     write_artifact("PERFETTO_trace.json", &perfetto);
     println!("(load it at https://ui.perfetto.dev)");
@@ -2250,10 +2160,11 @@ fn tenancy_ablation(smoke: bool) {
 
     // ---- reconciler arm: one FleetDriver over 2 nodes x 3 slots.
     let reg = Registry::new();
-    let driver = FleetDriver::new(FleetConfig {
+    let fleet = FleetConfig {
         nodes: 2,
         slots_per_node: 3,
-    });
+    };
+    let driver = FleetDriver::new(fleet);
     driver.attach_registry(&reg);
     let mut stats = [TenantStat::default(); 3];
     let mut starts = [Instant::now(); 3];
@@ -2435,33 +2346,26 @@ fn tenancy_ablation(smoke: bool) {
          high-priority arrival ran {speedup:.2}x the static partition's samples/s)",
     );
 
-    let tenant_json = |s: &TenantStat| {
-        format!(
-            "{{\"samples\": {}, \"samples_per_sec\": {:.1}, \"stall_fraction\": {:.4}, \
-             \"max_deficit\": {}, \"preemptions\": {}}}",
-            s.samples,
-            s.qps(),
-            s.stall_fraction(),
-            s.max_deficit,
-            s.preemptions,
-        )
+    let put_arm = |rec: &mut BenchRecord, arm: &str, stats: &[TenantStat; 3]| {
+        for (tenant, s) in ["tenant_a", "tenant_b", "tenant_c"].iter().zip(stats) {
+            let key = |name: &str| format!("{arm}_{tenant}_{name}");
+            rec.put_int(&key("samples"), s.samples)
+                .put_num(&key("samples_per_sec"), s.qps(), 1)
+                .put_num(&key("stall_fraction"), s.stall_fraction(), 4)
+                .put_int(&key("max_deficit"), s.max_deficit as u64)
+                .put_int(&key("preemptions"), s.preemptions);
+        }
     };
-    let json = format!(
-        "{{\n  \"fleet_slots\": 6,\n  \"rows_per_job\": {rows_per_job},\n  \
-         \"reconciler\": {{\n    \"tenant_a\": {},\n    \"tenant_b\": {},\n    \
-         \"tenant_c\": {},\n    \"preemptions_total\": {preemptions_total},\n    \
-         \"reconcile_ticks\": {reconciles}\n  }},\n  \
-         \"static\": {{\n    \"tenant_a\": {},\n    \"tenant_b\": {},\n    \
-         \"tenant_c\": {}\n  }},\n  \
-         \"high_priority_speedup\": {speedup:.3},\n  \"smoke\": {smoke}\n}}\n",
-        tenant_json(&fleet_stats[0]),
-        tenant_json(&fleet_stats[1]),
-        tenant_json(&fleet_stats[2]),
-        tenant_json(&static_stats[0]),
-        tenant_json(&static_stats[1]),
-        tenant_json(&static_stats[2]),
-    );
-    write_artifact("BENCH_tenancy.json", &json);
+    let mut rec = BenchRecord::default();
+    rec.put_int("fleet_slots", (fleet.nodes * fleet.slots_per_node) as u64)
+        .put_int("rows_per_job", rows_per_job);
+    put_arm(&mut rec, "reconciler", &fleet_stats);
+    rec.put_int("reconciler_preemptions_total", preemptions_total)
+        .put_int("reconciler_reconcile_ticks", reconciles);
+    put_arm(&mut rec, "static", &static_stats);
+    rec.put_num("high_priority_speedup", speedup, 3)
+        .put("smoke", Value::Bool(smoke));
+    write_artifact("BENCH_tenancy.json", &rec.to_json());
 }
 
 // ------------------------------------------------- extension experiments
@@ -2582,70 +2486,46 @@ fn autotune_ablation(smoke: bool) {
         .map(|s| if smoke { s.smoke() } else { s })
         .collect();
 
-    struct Arm {
-        ttc: f64,
-        steady: f64,
-        overall: f64,
-        mean_workers: f64,
-        final_knobs: dpp::Knobs,
-    }
-    let arm = |t: &dsi_tune::TuneTrace| Arm {
-        ttc: t.time_to_converge,
-        steady: t.steady_stall,
-        overall: t.stall_fraction,
-        mean_workers: t.mean_workers,
-        final_knobs: t.final_knobs,
-    };
-
     let mut rows = Vec::new();
-    let mut blocks = Vec::new();
+    let mut rec = BenchRecord::default();
+    rec.put_int("scenario_count", scenarios.len() as u64)
+        .put_num("stall_target", scenarios[0].stall_target, 3);
     for s in &scenarios {
         let mut tuner = dsi_tune::OnlineTuner::new(dsi_tune::TunerConfig {
             bounds: s.bounds,
             stall_target: s.stall_target,
             ..dsi_tune::TunerConfig::default()
         });
-        let tuned = arm(&run_scenario(s, &mut tuner));
-        let stat = arm(&run_scenario(s, &mut s.static_policy()));
-        for (name, a) in [("online-tuner", &tuned), ("static-watermark", &stat)] {
+        let tuned = run_scenario(s, &mut tuner);
+        let stat = run_scenario(s, &mut s.static_policy());
+        let scen = s.name.replace('-', "_");
+        for (name, arm, t) in [
+            ("online-tuner", "tuner", &tuned),
+            ("static-watermark", "static", &stat),
+        ] {
+            let knobs = t.final_knobs;
             rows.push(vec![
                 s.name.to_string(),
                 name.into(),
-                f(a.ttc, 0),
-                pct(a.steady),
-                pct(a.overall),
-                f(a.mean_workers, 1),
+                f(t.time_to_converge, 0),
+                pct(t.steady_stall),
+                pct(t.stall_fraction),
+                f(t.mean_workers, 1),
                 format!(
                     "w={} ra={} b={} p={}",
-                    a.final_knobs.workers,
-                    a.final_knobs.read_ahead,
-                    a.final_knobs.batch_size,
-                    a.final_knobs.parallelism
+                    knobs.workers, knobs.read_ahead, knobs.batch_size, knobs.parallelism
                 ),
             ]);
+            let key = |metric: &str| format!("{scen}_{arm}_{metric}");
+            rec.put_num(&key("ttc_s"), t.time_to_converge, 1)
+                .put_num(&key("steady_stall"), t.steady_stall, 5)
+                .put_num(&key("overall_stall"), t.stall_fraction, 5)
+                .put_num(&key("mean_workers"), t.mean_workers, 2)
+                .put_int(&key("final_workers"), knobs.workers as u64)
+                .put_int(&key("final_read_ahead"), knobs.read_ahead as u64)
+                .put_int(&key("final_batch"), knobs.batch_size as u64)
+                .put_int(&key("final_parallelism"), knobs.parallelism as u64);
         }
-        let key = s.name.replace('-', "_");
-        let arm_json = |prefix: &str, a: &Arm| {
-            format!(
-                "\"{key}_{prefix}_ttc_s\": {:.1}, \"{key}_{prefix}_steady_stall\": {:.5}, \
-                 \"{key}_{prefix}_overall_stall\": {:.5}, \"{key}_{prefix}_mean_workers\": {:.2}, \
-                 \"{key}_{prefix}_final_workers\": {}, \"{key}_{prefix}_final_read_ahead\": {}, \
-                 \"{key}_{prefix}_final_batch\": {}, \"{key}_{prefix}_final_parallelism\": {}",
-                a.ttc,
-                a.steady,
-                a.overall,
-                a.mean_workers,
-                a.final_knobs.workers,
-                a.final_knobs.read_ahead,
-                a.final_knobs.batch_size,
-                a.final_knobs.parallelism,
-            )
-        };
-        blocks.push(format!(
-            "  {},\n  {}",
-            arm_json("tuner", &tuned),
-            arm_json("static", &stat)
-        ));
     }
     print_table(
         "Extension (autotune): closed-loop tuner vs static watermark scaler (virtual-time, 2% stall target)",
@@ -2664,13 +2544,8 @@ fn autotune_ablation(smoke: bool) {
         "(ttc = first time after which every sliding-window mean stall stays under target; \
          duration caps a never-converging run)"
     );
-    let json = format!(
-        "{{\n  \"scenario_count\": {},\n  \"stall_target\": {:.3},\n{},\n  \"smoke\": {smoke}\n}}\n",
-        scenarios.len(),
-        scenarios[0].stall_target,
-        blocks.join(",\n"),
-    );
-    write_artifact("BENCH_autotune.json", &json);
+    rec.put("smoke", Value::Bool(smoke));
+    write_artifact("BENCH_autotune.json", &rec.to_json());
 }
 
 #[cfg(test)]

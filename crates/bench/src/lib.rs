@@ -10,8 +10,10 @@
 
 #![warn(missing_docs)]
 
+pub mod record;
 pub mod report;
 pub mod rmlab;
 
+pub use record::{BenchRecord, Value};
 pub use report::{print_table, Row};
 pub use rmlab::{LabConfig, RmLab};

@@ -2,12 +2,32 @@
 //! on the simulated deployment (slower, coarse-scale checks; the `figures`
 //! binary prints the full tables).
 
-use dsi_bench::{LabConfig, RmLab};
+use dsi_bench::{BenchRecord, LabConfig, RmLab, Value};
 use dsi_types::{ByteSize, PIB};
 use hwsim::{DatacenterTax, NodeSpec, PowerModel};
 use synth::{GrowthModel, JobProjectionSampler, RmClass, RmProfile};
 use tectonic::{ProvisionPlan, StorageNodeClass, TieredPlacement};
 use trainer::loading_sweep;
+
+/// Parses the committed `BENCH_{ablation}.json` at the repo root, which
+/// must come from a full-size run.
+fn artifact(ablation: &str) -> BenchRecord {
+    let path = format!("{}/BENCH_{ablation}.json", env!("CARGO_MANIFEST_DIR"));
+    let body = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!(
+            "BENCH_{ablation}.json is committed at the repo root (run `figures {ablation}`): {e}"
+        )
+    });
+    let rec = BenchRecord::parse(&body).unwrap_or_else(|e| panic!("BENCH_{ablation}.json: {e}"));
+    let smoke = rec.get("smoke");
+    assert_eq!(smoke, Ok(&Value::Bool(false)), "committed run is full-size");
+    rec
+}
+
+/// The number under `key`; panics naming the key when it is absent.
+fn num(rec: &BenchRecord, key: &str) -> f64 {
+    rec.num(key).unwrap_or_else(|e| panic!("{e}"))
+}
 
 #[test]
 fn fig1_dsi_power_exceeds_half_for_worker_heavy_models() {
@@ -203,82 +223,43 @@ fn s7_codesign_improves_dpp_and_power() {
 fn trace_bench_artifact_matches_schema() {
     // `figures trace` commits its ablation results; validate the schema and
     // the acceptance envelope (overhead under 3%, verdicts on the two known
-    // job shapes) without a JSON parser dependency.
-    fn num(section: &str, key: &str) -> f64 {
-        let pat = format!("\"{key}\":");
-        let at = section
-            .find(&pat)
-            .unwrap_or_else(|| panic!("BENCH_trace.json missing key {key:?}"));
-        let rest = section[at + pat.len()..].trim_start();
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(rest.len());
-        rest[..end]
-            .parse()
-            .unwrap_or_else(|_| panic!("BENCH_trace.json key {key:?} is not numeric"))
-    }
-    fn verdict_block<'a>(body: &'a str, name: &str) -> &'a str {
-        let start = body
-            .find(&format!("\"{name}\""))
-            .unwrap_or_else(|| panic!("BENCH_trace.json missing block {name:?}"));
-        let section = &body[start..];
-        let end = section.find('}').expect("verdict block closes");
-        let section = &section[..end];
-        for key in [
-            "traces",
-            "spans",
-            "verdict",
-            "extract_ms",
-            "transform_ms",
-            "wire_ms",
-            "trainer_ms",
-            "end_to_end_p50_ms",
-        ] {
-            assert!(
-                section.contains(&format!("\"{key}\":")),
-                "block {name:?} missing key {key:?}"
-            );
-        }
-        assert!(num(section, "traces") >= 1.0, "{name}: no traces");
-        assert!(
-            num(section, "spans") > num(section, "traces"),
-            "{name}: spans per trace"
-        );
-        assert!(
-            num(section, "end_to_end_p50_ms") > 0.0,
-            "{name}: degenerate p50"
-        );
-        section
-    }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_trace.json");
-    let body = std::fs::read_to_string(path)
-        .expect("BENCH_trace.json is committed at the repo root (run `figures trace`)");
-    assert!(num(&body, "samples_per_sec_off") > 0.0);
-    assert!(num(&body, "samples_per_sec_traced") > 0.0);
+    // job shapes).
+    let rec = artifact("trace");
+    assert!(num(&rec, "samples_per_sec_off") > 0.0);
+    assert!(num(&rec, "samples_per_sec_traced") > 0.0);
     assert!(
-        num(&body, "overhead_pct") < 3.0,
+        num(&rec, "overhead_pct") < 3.0,
         "default-rate tracing overhead out of envelope"
     );
-    assert_eq!(num(&body, "sample_one_in") as u64, 4, "default sample rate");
+    assert_eq!(num(&rec, "sample_one_in") as u64, 4, "default sample rate");
     assert!(
-        num(&body, "sampled_spans") >= 1.0,
+        num(&rec, "sampled_spans") >= 1.0,
         "sampling collected spans"
     );
-    assert!(num(&body, "samples") > 0.0);
-    assert!(
-        body.contains("\"smoke\": false"),
-        "committed run is full-size"
-    );
-    let extract = verdict_block(&body, "extract_bound");
-    assert!(
-        extract.contains("\"verdict\": \"extract\""),
-        "narrow job verdict"
-    );
-    let transform = verdict_block(&body, "transform_bound");
-    assert!(
-        transform.contains("\"verdict\": \"transform\""),
-        "tiled job verdict"
-    );
+    assert!(num(&rec, "samples") > 0.0);
+    for (block, verdict, job) in [
+        ("extract_bound", "extract", "narrow job verdict"),
+        ("transform_bound", "transform", "tiled job verdict"),
+    ] {
+        let key = |name: &str| format!("{block}_{name}");
+        for name in ["extract_ms", "transform_ms", "wire_ms", "trainer_ms"] {
+            num(&rec, &key(name));
+        }
+        assert!(num(&rec, &key("traces")) >= 1.0, "{block}: no traces");
+        assert!(
+            num(&rec, &key("spans")) > num(&rec, &key("traces")),
+            "{block}: spans per trace"
+        );
+        assert!(
+            num(&rec, &key("end_to_end_p50_ms")) > 0.0,
+            "{block}: degenerate p50"
+        );
+        assert_eq!(
+            rec.get(&key("verdict")),
+            Ok(&Value::Str(verdict.into())),
+            "{job}"
+        );
+    }
 }
 
 #[test]
@@ -287,79 +268,38 @@ fn tenancy_bench_artifact_matches_schema() {
     // 6-slot fleet, reconciler vs static partitioning. Validate the schema
     // and the acceptance envelope (every tenant delivered its full epoch,
     // the high-priority arrival was served by preemption and beat the
-    // static partition) without a JSON parser dependency.
-    fn num(section: &str, key: &str) -> f64 {
-        let pat = format!("\"{key}\":");
-        let at = section
-            .find(&pat)
-            .unwrap_or_else(|| panic!("BENCH_tenancy.json missing key {key:?}"));
-        let rest = section[at + pat.len()..].trim_start();
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(rest.len());
-        rest[..end]
-            .parse()
-            .unwrap_or_else(|_| panic!("BENCH_tenancy.json key {key:?} is not numeric"))
-    }
-    fn arm_block<'a>(body: &'a str, name: &str) -> &'a str {
-        let start = body
-            .find(&format!("\"{name}\": {{"))
-            .unwrap_or_else(|| panic!("BENCH_tenancy.json missing arm {name:?}"));
-        let section = &body[start..];
-        // The arm block ends at the first close brace at its own nesting
-        // level; tenant sub-blocks open and close inside it.
-        let mut depth = 0i32;
-        let mut end = section.len();
-        for (i, c) in section.char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = i;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let section = &section[..end];
-        let rows = num(body, "rows_per_job");
+    // static partition).
+    let rec = artifact("tenancy");
+    assert_eq!(num(&rec, "fleet_slots") as u64, 6);
+    let rows = num(&rec, "rows_per_job");
+    assert!(rows > 0.0);
+    for arm in ["reconciler", "static"] {
         for tenant in ["tenant_a", "tenant_b", "tenant_c"] {
-            let t_at = section
-                .find(&format!("\"{tenant}\""))
-                .unwrap_or_else(|| panic!("arm {name:?} missing {tenant:?}"));
-            let t = &section[t_at..];
-            let t = &t[..t.find('}').expect("tenant block closes")];
-            assert_eq!(num(t, "samples"), rows, "{name}/{tenant} exactly-once");
-            assert!(num(t, "samples_per_sec") > 0.0, "{name}/{tenant} rate");
-            let stall = num(t, "stall_fraction");
-            assert!((0.0..=1.0).contains(&stall), "{name}/{tenant} stall");
+            let key = |name: &str| format!("{arm}_{tenant}_{name}");
+            assert_eq!(
+                num(&rec, &key("samples")),
+                rows,
+                "{arm}/{tenant} exactly-once"
+            );
+            assert!(
+                num(&rec, &key("samples_per_sec")) > 0.0,
+                "{arm}/{tenant} rate"
+            );
+            let stall = num(&rec, &key("stall_fraction"));
+            assert!((0.0..=1.0).contains(&stall), "{arm}/{tenant} stall");
         }
-        section
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_tenancy.json");
-    let body = std::fs::read_to_string(path)
-        .expect("BENCH_tenancy.json is committed at the repo root (run `figures tenancy`)");
-    assert_eq!(num(&body, "fleet_slots") as u64, 6);
-    assert!(num(&body, "rows_per_job") > 0.0);
-    let reconciler = arm_block(&body, "reconciler");
-    arm_block(&body, "static");
     assert!(
-        num(reconciler, "preemptions_total") >= 1.0,
+        num(&rec, "reconciler_preemptions_total") >= 1.0,
         "the high-priority arrival preempts"
     );
     assert!(
-        num(reconciler, "reconcile_ticks") >= 1.0,
+        num(&rec, "reconciler_reconcile_ticks") >= 1.0,
         "reconcile ticks recorded"
     );
     assert!(
-        num(&body, "high_priority_speedup") > 1.0,
+        num(&rec, "high_priority_speedup") > 1.0,
         "priority tenant must beat its static partition"
-    );
-    assert!(
-        body.contains("\"smoke\": false"),
-        "committed run is full-size"
     );
 }
 
@@ -368,41 +308,22 @@ fn fastpath_bench_artifact_matches_schema() {
     // `figures fastpath` commits the decode-fastpath ablation: read-ahead +
     // zero-copy extract on vs off, plus the wide full-plan job that used to
     // regress behind the row path. Validate the schema and the acceptance
-    // envelope without a JSON parser dependency.
-    fn num(section: &str, key: &str) -> f64 {
-        let pat = format!("\"{key}\":");
-        let at = section
-            .find(&pat)
-            .unwrap_or_else(|| panic!("BENCH_fastpath.json missing key {key:?}"));
-        let rest = section[at + pat.len()..].trim_start();
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(rest.len());
-        rest[..end]
-            .parse()
-            .unwrap_or_else(|_| panic!("BENCH_fastpath.json key {key:?} is not numeric"))
-    }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_fastpath.json");
-    let body = std::fs::read_to_string(path)
-        .expect("BENCH_fastpath.json is committed at the repo root (run `figures fastpath`)");
-    assert!(num(&body, "samples_per_sec_on") > num(&body, "samples_per_sec_off"));
+    // envelope.
+    let rec = artifact("fastpath");
+    assert!(num(&rec, "samples_per_sec_on") > num(&rec, "samples_per_sec_off"));
     assert!(
-        num(&body, "speedup") >= 1.2,
+        num(&rec, "speedup") >= 1.2,
         "fastpath speedup on the narrow job"
     );
     assert!(
-        num(&body, "speedup_full_plan") >= 1.2,
+        num(&rec, "speedup_full_plan") >= 1.2,
         "the wide full-plan job must not regress behind the row path"
     );
     assert!(
-        num(&body, "copy_reduction") > 4.0,
+        num(&rec, "copy_reduction") > 4.0,
         "zero-copy extract slashes copied bytes"
     );
-    assert!(num(&body, "samples") > 0.0);
-    assert!(
-        body.contains("\"smoke\": false"),
-        "committed run is full-size"
-    );
+    assert!(num(&rec, "samples") > 0.0);
 }
 
 #[test]
@@ -410,25 +331,10 @@ fn wire_bench_artifact_matches_schema() {
     // `figures wire` commits the transport ablation: in-process channel vs
     // framed TCP (plaintext / cipher / cipher+zip). The codec-kernel work
     // pins plaintext TCP at >= 85% of in-process; validate that envelope and
-    // the per-stage timing keys without a JSON parser dependency.
-    fn num(section: &str, key: &str) -> f64 {
-        let pat = format!("\"{key}\":");
-        let at = section
-            .find(&pat)
-            .unwrap_or_else(|| panic!("BENCH_wire.json missing key {key:?}"));
-        let rest = section[at + pat.len()..].trim_start();
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(rest.len());
-        rest[..end]
-            .parse()
-            .unwrap_or_else(|_| panic!("BENCH_wire.json key {key:?} is not numeric"))
-    }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_wire.json");
-    let body = std::fs::read_to_string(path)
-        .expect("BENCH_wire.json is committed at the repo root (run `figures wire`)");
-    let inprocess = num(&body, "samples_per_sec_inprocess");
-    let tcp = num(&body, "samples_per_sec_tcp");
+    // the per-stage timing keys.
+    let rec = artifact("wire");
+    let inprocess = num(&rec, "samples_per_sec_inprocess");
+    let tcp = num(&rec, "samples_per_sec_tcp");
     assert!(inprocess > 0.0 && tcp > 0.0);
     assert!(
         tcp >= 0.85 * inprocess,
@@ -436,24 +342,20 @@ fn wire_bench_artifact_matches_schema() {
         tcp,
         inprocess
     );
-    assert!(num(&body, "samples_per_sec_tcp_cipher") > 0.0);
-    assert!(num(&body, "samples_per_sec_tcp_cipher_zip") > 0.0);
-    assert!(num(&body, "wire_frames") >= 1.0);
-    assert!(num(&body, "wire_payload_bytes") > 0.0);
+    assert!(num(&rec, "samples_per_sec_tcp_cipher") > 0.0);
+    assert!(num(&rec, "samples_per_sec_tcp_cipher_zip") > 0.0);
+    assert!(num(&rec, "wire_frames") >= 1.0);
+    assert!(num(&rec, "wire_payload_bytes") > 0.0);
     assert!(
-        num(&body, "compression_ratio") > 1.0,
+        num(&rec, "compression_ratio") > 1.0,
         "zip variant actually compresses"
     );
     // Pooled + delta-encoded serialization: well under 10 ms per epoch
     // (down from 94 ms before the codec kernels).
-    assert!(num(&body, "serialize_nanos") < 10_000_000.0);
-    assert!(num(&body, "deserialize_nanos") > 0.0);
-    assert_eq!(num(&body, "reconnects"), 0.0, "clean run has no reconnects");
-    assert!(num(&body, "samples") > 0.0);
-    assert!(
-        body.contains("\"smoke\": false"),
-        "committed run is full-size"
-    );
+    assert!(num(&rec, "serialize_nanos") < 10_000_000.0);
+    assert!(num(&rec, "deserialize_nanos") > 0.0);
+    assert_eq!(num(&rec, "reconnects"), 0.0, "clean run has no reconnects");
+    assert!(num(&rec, "samples") > 0.0);
 }
 
 #[test]
@@ -461,54 +363,35 @@ fn durability_bench_artifact_matches_schema() {
     // `figures durability` commits the replica-loss ablation: a storage
     // node killed mid-epoch, heartbeat detection, and a budgeted rebuild
     // contending with foreground reads. Validate the schema and the
-    // acceptance envelope without a JSON parser dependency.
-    fn num(section: &str, key: &str) -> f64 {
-        let pat = format!("\"{key}\":");
-        let at = section
-            .find(&pat)
-            .unwrap_or_else(|| panic!("BENCH_durability.json missing key {key:?}"));
-        let rest = section[at + pat.len()..].trim_start();
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(rest.len());
-        rest[..end]
-            .parse()
-            .unwrap_or_else(|_| panic!("BENCH_durability.json key {key:?} is not numeric"))
-    }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_durability.json");
-    let body = std::fs::read_to_string(path)
-        .expect("BENCH_durability.json is committed at the repo root (run `figures durability`)");
-    let base = num(&body, "samples_per_sec_baseline");
-    let rebuild = num(&body, "samples_per_sec_rebuild");
+    // acceptance envelope.
+    let rec = artifact("durability");
+    let base = num(&rec, "samples_per_sec_baseline");
+    let rebuild = num(&rec, "samples_per_sec_rebuild");
     assert!(base > 0.0 && rebuild > 0.0);
     assert!(
-        num(&body, "throughput_ratio") > 0.0,
+        num(&rec, "throughput_ratio") > 0.0,
         "rebuild epoch still makes progress"
     );
     assert_eq!(
-        num(&body, "under_replicated_final"),
+        num(&rec, "under_replicated_final"),
         0.0,
         "self-healing must converge: no chunk left under-replicated"
     );
     assert!(
-        num(&body, "foreground_share") >= 0.5,
+        num(&rec, "foreground_share") >= 0.5,
         "budgeted rebuild leaves foreground the majority of disk IOs"
     );
-    assert!(num(&body, "rebuild_chunks") >= 1.0, "rebuild did real work");
-    assert!(num(&body, "rebuild_ios") >= 1.0);
-    assert!(num(&body, "total_ios") > num(&body, "rebuild_ios"));
-    assert!(num(&body, "rebuild_budget_per_batch") >= 1.0);
+    assert!(num(&rec, "rebuild_chunks") >= 1.0, "rebuild did real work");
+    assert!(num(&rec, "rebuild_ios") >= 1.0);
+    assert!(num(&rec, "total_ios") > num(&rec, "rebuild_ios"));
+    assert!(num(&rec, "rebuild_budget_per_batch") >= 1.0);
     assert_eq!(
-        num(&body, "r2_under_replicated_final"),
+        num(&rec, "r2_under_replicated_final"),
         0.0,
         "R2 variant converges too"
     );
-    assert!(num(&body, "r2_foreground_share") > 0.0);
-    assert!(num(&body, "samples") > 0.0);
-    assert!(
-        body.contains("\"smoke\": false"),
-        "committed run is full-size"
-    );
+    assert!(num(&rec, "r2_foreground_share") > 0.0);
+    assert!(num(&rec, "samples") > 0.0);
 }
 
 #[test]
@@ -528,25 +411,10 @@ fn autotune_bench_artifact_matches_schema() {
     // online tuner vs the static watermark scaler over four deterministic
     // pipeline scenarios. Validate the flat per-scenario key schema and
     // the acceptance envelope (tuner converges, static cannot on the
-    // scenarios the worker knob alone does not fix) without a JSON parser.
-    fn num(body: &str, key: &str) -> f64 {
-        let pat = format!("\"{key}\":");
-        let at = body
-            .find(&pat)
-            .unwrap_or_else(|| panic!("BENCH_autotune.json missing key {key:?}"));
-        let rest = body[at + pat.len()..].trim_start();
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-            .unwrap_or(rest.len());
-        rest[..end]
-            .parse()
-            .unwrap_or_else(|_| panic!("BENCH_autotune.json key {key:?} is not numeric"))
-    }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_autotune.json");
-    let body = std::fs::read_to_string(path)
-        .expect("BENCH_autotune.json is committed at the repo root (run `figures autotune`)");
-    assert_eq!(num(&body, "scenario_count"), 4.0);
-    let target = num(&body, "stall_target");
+    // scenarios the worker knob alone does not fix).
+    let rec = artifact("autotune");
+    assert_eq!(num(&rec, "scenario_count"), 4.0);
+    let target = num(&rec, "stall_target");
     assert!(target > 0.0 && target < 0.1);
 
     // Every scenario carries both arms with the full metric set; ttc is
@@ -568,11 +436,11 @@ fn autotune_bench_artifact_matches_schema() {
                 "final_batch",
                 "final_parallelism",
             ] {
-                num(&body, &format!("{scen}_{arm}_{metric}"));
+                num(&rec, &format!("{scen}_{arm}_{metric}"));
             }
         }
         assert!(
-            num(&body, &format!("{scen}_tuner_steady_stall")) < target,
+            num(&rec, &format!("{scen}_tuner_steady_stall")) < target,
             "{scen}: tuner must end converged"
         );
     }
@@ -582,28 +450,23 @@ fn autotune_bench_artifact_matches_schema() {
     // stall than the static scaler wherever workers alone cannot help.
     for scen in ["extract_bound", "transform_bound", "trainer_bound"] {
         assert!(
-            num(&body, &format!("{scen}_tuner_ttc_s"))
-                < num(&body, &format!("{scen}_static_ttc_s")),
+            num(&rec, &format!("{scen}_tuner_ttc_s")) < num(&rec, &format!("{scen}_static_ttc_s")),
             "{scen}: tuner converges faster"
         );
         assert!(
-            num(&body, &format!("{scen}_tuner_steady_stall"))
-                < num(&body, &format!("{scen}_static_steady_stall")),
+            num(&rec, &format!("{scen}_tuner_steady_stall"))
+                < num(&rec, &format!("{scen}_static_steady_stall")),
             "{scen}: tuner ends with less stall"
         );
         assert!(
-            num(&body, &format!("{scen}_tuner_mean_workers"))
-                < num(&body, &format!("{scen}_static_mean_workers")),
+            num(&rec, &format!("{scen}_tuner_mean_workers"))
+                < num(&rec, &format!("{scen}_static_mean_workers")),
             "{scen}: tuner spends fewer worker-seconds than the pegged static fleet"
         );
     }
 
     // The tuner fixed each bottleneck with the matching knob.
-    assert!(num(&body, "extract_bound_tuner_final_read_ahead") > 0.0);
-    assert!(num(&body, "transform_bound_tuner_final_parallelism") > 1.0);
-    assert!(num(&body, "trainer_bound_tuner_final_batch") > 32.0);
-    assert!(
-        body.contains("\"smoke\": false"),
-        "committed run is full-size"
-    );
+    assert!(num(&rec, "extract_bound_tuner_final_read_ahead") > 0.0);
+    assert!(num(&rec, "transform_bound_tuner_final_parallelism") > 1.0);
+    assert!(num(&rec, "trainer_bound_tuner_final_batch") > 32.0);
 }
