@@ -1643,6 +1643,8 @@ fn wire_ablation(smoke: bool) {
             f(pr.wire_payload_bytes as f64 / 1e6, 2),
             f(pr.wire_tx_bytes as f64 / 1e6, 2),
             f(pr.wire_compression_ratio(), 2),
+            format!("{}/{}", pr.wire_zipped_frames, pr.wire_zip_skipped_frames),
+            f(pr.wire_compress_nanos as f64 / 1e6, 1),
             f(pr.wire_serialize_nanos as f64 / 1e6, 1),
             f(pr.wire_encrypt_nanos as f64 / 1e6, 1),
             f(pr.wire_deserialize_nanos as f64 / 1e6, 1),
@@ -1658,6 +1660,8 @@ fn wire_ablation(smoke: bool) {
             "payload MB",
             "tx MB",
             "comp",
+            "zipped/skipped",
+            "zip ms",
             "ser ms",
             "cipher ms",
             "deser ms",
@@ -1692,6 +1696,9 @@ fn wire_ablation(smoke: bool) {
         .put_int("wire_payload_bytes", pr.wire_payload_bytes)
         .put_int("wire_tx_bytes", pr.wire_tx_bytes)
         .put_num("compression_ratio", pr.wire_compression_ratio(), 3)
+        .put_int("zipped_frames", pr.wire_zipped_frames)
+        .put_int("zip_skipped_frames", pr.wire_zip_skipped_frames)
+        .put_int("compress_nanos", pr.wire_compress_nanos)
         .put_int("serialize_nanos", pr.wire_serialize_nanos)
         .put_int("encrypt_nanos", pr.wire_encrypt_nanos)
         .put_int("deserialize_nanos", pr.wire_deserialize_nanos)

@@ -145,6 +145,12 @@ pub const WIRE_DESERIALIZE_NANOS_TOTAL: &str = "dsi_wire_deserialize_nanos_total
 /// Counter (nanoseconds): time spent compressing payloads on send and
 /// never mixed into [`WIRE_SERIALIZE_NANOS_TOTAL`].
 pub const WIRE_COMPRESS_NANOS_TOTAL: &str = "dsi_wire_compress_nanos_total";
+/// Counter: data frames compressed before sending (compressing sessions
+/// only; each carries the compressed flag).
+pub const WIRE_ZIPPED_FRAMES_TOTAL: &str = "dsi_wire_zipped_frames_total";
+/// Counter: data frames a compressing session sent uncompressed because
+/// the ratio gate was closed (a recent frame saved less than 1/8).
+pub const WIRE_ZIP_SKIPPED_FRAMES_TOTAL: &str = "dsi_wire_zip_skipped_frames_total";
 /// Gauge: hit ratio of the pooled wire send buffer (1.0 = every frame
 /// reused a pooled allocation; fresh allocations drag it down).
 pub const WIRE_BUF_POOL_HIT_RATIO: &str = "dsi_wire_buf_pool_hit_ratio";

@@ -121,6 +121,13 @@ pub struct PipelineReport {
     pub wire_encrypt_nanos: u64,
     /// Nanoseconds spent verifying/decompressing/deserializing frames.
     pub wire_deserialize_nanos: u64,
+    /// Nanoseconds spent compressing frames on send.
+    pub wire_compress_nanos: u64,
+    /// Data frames a compressing session compressed.
+    pub wire_zipped_frames: u64,
+    /// Data frames a compressing session sent uncompressed because the
+    /// ratio gate was closed.
+    pub wire_zip_skipped_frames: u64,
     /// Client reconnects to worker wire servers.
     pub wire_reconnects: u64,
     /// Per-tenant fleet rows (empty when no reconciler ran).
@@ -278,6 +285,15 @@ impl PipelineReport {
                 }
                 (names::WIRE_RECONNECTS_TOTAL, MetricValue::Counter(c)) => {
                     report.wire_reconnects += *c
+                }
+                (names::WIRE_COMPRESS_NANOS_TOTAL, MetricValue::Counter(c)) => {
+                    report.wire_compress_nanos += *c
+                }
+                (names::WIRE_ZIPPED_FRAMES_TOTAL, MetricValue::Counter(c)) => {
+                    report.wire_zipped_frames += *c
+                }
+                (names::WIRE_ZIP_SKIPPED_FRAMES_TOTAL, MetricValue::Counter(c)) => {
+                    report.wire_zip_skipped_frames += *c
                 }
                 (
                     names::FLEET_ALLOCATED_WORKERS
@@ -569,6 +585,15 @@ impl fmt::Display for PipelineReport {
                 self.wire_compression_ratio(),
                 self.wire_reconnects
             )?;
+            if self.wire_zipped_frames + self.wire_zip_skipped_frames > 0 {
+                writeln!(
+                    f,
+                    "zip: {} frames compressed in {:.6}s, {} skipped by the ratio gate",
+                    self.wire_zipped_frames,
+                    self.wire_compress_nanos as f64 / 1e9,
+                    self.wire_zip_skipped_frames
+                )?;
+            }
         }
 
         if !self.fleet.is_empty() {
@@ -742,6 +767,28 @@ mod tests {
         let off = PipelineReport::collect(&r2).to_string();
         assert!(off.contains("% of cycles"));
         assert!(!off.contains("wire transport"));
+    }
+
+    #[test]
+    fn wire_section_shows_gated_compression() {
+        let r = Registry::new();
+        let job = [("job", "sess1")];
+        r.counter(names::WIRE_FRAMES_TOTAL, &job).add(12);
+        let plain = PipelineReport::collect(&r).to_string();
+        assert!(!plain.contains("zip:"), "no zip line without compression");
+
+        r.counter(names::WIRE_ZIPPED_FRAMES_TOTAL, &job).add(2);
+        r.counter(names::WIRE_ZIP_SKIPPED_FRAMES_TOTAL, &job)
+            .add(10);
+        r.counter(names::WIRE_COMPRESS_NANOS_TOTAL, &job)
+            .add(1_500_000);
+        let report = PipelineReport::collect(&r);
+        assert_eq!(report.wire_zipped_frames, 2);
+        assert_eq!(report.wire_zip_skipped_frames, 10);
+        assert_eq!(report.wire_compress_nanos, 1_500_000);
+        assert!(report
+            .to_string()
+            .contains("zip: 2 frames compressed in 0.001500s, 10 skipped by the ratio gate"));
     }
 
     #[test]

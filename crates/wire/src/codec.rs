@@ -2,8 +2,9 @@
 //!
 //! The workspace's serde shim erases `#[derive(Serialize)]` into nothing,
 //! so the wire format is hand-rolled on the DWRF varint primitives:
-//! varints for counts/ids, delta-encoded varints for CSR offsets (row
-//! lengths are single-byte, so the 8-wide bulk kernels apply), and raw
+//! varints for counts, delta-encoded varints for CSR offsets (row
+//! lengths are single-byte, so the 8-wide bulk kernels apply),
+//! width-packed little-endian slabs for sparse ids, and raw
 //! little-endian bytes for `f32` runs. The
 //! layout is self-describing enough to reject truncation and garbage with
 //! a `DsiError::Corrupt` instead of panicking — the transport treats any
@@ -82,29 +83,55 @@ fn read_f32_seq(buf: &[u8], pos: &mut usize) -> Result<Vec<f32>> {
     Ok(out)
 }
 
-/// Sequence encodings for [`write_u64_seq`]: LEB128 varints, or a fixed
-/// 4-byte little-endian slab when every value fits in a `u32`. Hashed ids
-/// (the dominant sparse payload) land mid-range after the modulus, where
-/// varints average ~3 bytes but decode byte-at-a-time; the u32 slab pays
-/// one extra byte per id for a bulk-copy decode.
+/// Sequence encodings for [`write_u64_seq`], one mode byte per sequence:
+/// `SEQ_VARINT` (LEB128 varints) when some value exceeds `u32`, else the
+/// mode byte is the width `w` in `1..=4` of a fixed-width little-endian
+/// slab, the byte width of the sequence's largest value. Hashed ids (the
+/// dominant sparse payload) are bounded by the hash table size, so below
+/// 2^24 they go out in three bytes instead of four, and decode is a bulk
+/// copy rather than byte-at-a-time varints.
 const SEQ_VARINT: u8 = 0;
-const SEQ_U32_SLAB: u8 = 1;
+
+/// Appends `values` (each below `2^(8W)`, `W <= 4`) as `W`-byte
+/// little-endian words. Each value is stored as a whole `u32` whose
+/// spare high bytes the next value overwrites, and the tail is cut back
+/// to `W` bytes per value: a fixed 4-byte move per id instead of a
+/// `W`-byte copy.
+fn write_slab<const W: usize>(out: &mut Vec<u8>, values: &[u64]) {
+    let start = out.len();
+    out.resize(start + values.len() * W + 4, 0);
+    let slab = &mut out[start..];
+    for (i, &v) in values.iter().enumerate() {
+        slab[i * W..i * W + 4].copy_from_slice(&(v as u32).to_le_bytes());
+    }
+    out.truncate(start + values.len() * W);
+}
+
+fn read_slab<const W: usize>(bytes: &[u8], out: &mut Vec<u64>) {
+    out.extend(bytes.chunks_exact(W).map(|c| {
+        let mut word = [0u8; 8];
+        word[..W].copy_from_slice(c);
+        u64::from_le_bytes(word)
+    }));
+}
 
 fn write_u64_seq(out: &mut Vec<u8>, values: &[u64]) {
     write_varint(out, values.len() as u64);
-    if values.iter().all(|&v| v <= u32::MAX as u64) {
-        out.push(SEQ_U32_SLAB);
-        out.reserve(values.len() * 4);
-        let mut slab = [0u8; F32_SLAB * 4];
-        for chunk in values.chunks(F32_SLAB) {
-            for (cell, &v) in slab.chunks_exact_mut(4).zip(chunk) {
-                cell.copy_from_slice(&(v as u32).to_le_bytes());
-            }
-            out.extend_from_slice(&slab[..chunk.len() * 4]);
-        }
-    } else {
+    // The OR of the values has the same highest set bit as their maximum
+    // and, unlike `max`, vectorises.
+    let bits = values.iter().fold(0, |acc, &v| acc | v);
+    if bits > u32::MAX as u64 {
         out.push(SEQ_VARINT);
         write_varints(out, values);
+        return;
+    }
+    let width = (8 - bits.leading_zeros() as usize / 8).max(1);
+    out.push(width as u8);
+    match width {
+        1 => write_slab::<1>(out, values),
+        2 => write_slab::<2>(out, values),
+        3 => write_slab::<3>(out, values),
+        _ => write_slab::<4>(out, values),
     }
 }
 
@@ -115,31 +142,30 @@ fn read_u64_seq(buf: &[u8], pos: &mut usize) -> Result<Vec<u64>> {
         // a truncated or corrupt buffer, so bail before allocating.
         return Err(DsiError::corrupt("u64 sequence truncated"));
     }
-    match read_u8(buf, pos)? {
-        SEQ_VARINT => {
-            let mut out = Vec::new();
-            read_varints_into(buf, pos, n, &mut out)?;
-            Ok(out)
-        }
-        SEQ_U32_SLAB => {
-            let bytes = n
-                .checked_mul(4)
-                .ok_or_else(|| DsiError::corrupt("u32 slab length overflow"))?;
-            let end = pos
-                .checked_add(bytes)
-                .filter(|&e| e <= buf.len())
-                .ok_or_else(|| DsiError::corrupt("u32 slab truncated"))?;
-            let mut out = Vec::with_capacity(n);
-            out.extend(
-                buf[*pos..end]
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")) as u64),
-            );
-            *pos = end;
-            Ok(out)
-        }
-        other => Err(DsiError::corrupt(format!("bad u64 seq mode {other:#x}"))),
+    let mode = read_u8(buf, pos)?;
+    if mode == SEQ_VARINT {
+        let mut out = Vec::new();
+        read_varints_into(buf, pos, n, &mut out)?;
+        return Ok(out);
     }
+    if mode > 4 {
+        return Err(DsiError::corrupt(format!("bad u64 seq mode {mode:#x}")));
+    }
+    let end = n
+        .checked_mul(mode as usize)
+        .and_then(|bytes| pos.checked_add(bytes))
+        .filter(|&e| e <= buf.len())
+        .ok_or_else(|| DsiError::corrupt("id slab truncated"))?;
+    let bytes = &buf[*pos..end];
+    let mut out = Vec::with_capacity(n);
+    match mode {
+        1 => read_slab::<1>(bytes, &mut out),
+        2 => read_slab::<2>(bytes, &mut out),
+        3 => read_slab::<3>(bytes, &mut out),
+        _ => read_slab::<4>(bytes, &mut out),
+    }
+    *pos = end;
+    Ok(out)
 }
 
 /// Serialize an envelope into the wire byte layout.
@@ -362,6 +388,74 @@ mod tests {
             let back = decode_envelope(&bytes).expect("decode");
             assert_eq!(back, env);
         }
+    }
+
+    /// Envelope whose single sparse tensor carries `ids`, one per row.
+    fn id_envelope(ids: &[u64]) -> WireEnvelope {
+        let mut batch = Batch::new();
+        for &id in ids {
+            let mut s = Sample::new(1.0);
+            s.set_sparse(FeatureId(7), SparseList::from_ids(vec![id]));
+            batch.push(s);
+        }
+        WireEnvelope {
+            split: 1,
+            seq: 0,
+            last: true,
+            worker: WorkerId(0),
+            trace_id: 0,
+            parent_span: 0,
+            tensor: batch.materialize(&[], &[FeatureId(7)]),
+        }
+    }
+
+    #[test]
+    fn id_slabs_round_trip_at_every_width_boundary() {
+        // (largest id, mode byte it must select)
+        let cases = [
+            (0, 1),
+            (0xff, 1),
+            (0x100, 2),
+            (0xffff, 2),
+            (0x1_0000, 3),
+            (0xff_ffff, 3),
+            (0x100_0000, 4),
+            (u32::MAX as u64, 4),
+            (u32::MAX as u64 + 1, SEQ_VARINT),
+        ];
+        for (max, mode) in cases {
+            let ids = [0, max / 3, max, 1.min(max)];
+            let mut seq = Vec::new();
+            write_u64_seq(&mut seq, &ids);
+            assert_eq!(seq[1], mode, "mode byte for max {max:#x}");
+            if mode != SEQ_VARINT {
+                assert_eq!(seq.len(), 2 + ids.len() * mode as usize);
+            }
+            let pos = &mut 0;
+            assert_eq!(read_u64_seq(&seq, pos).unwrap(), ids);
+            assert_eq!(*pos, seq.len());
+
+            let env = id_envelope(&ids);
+            assert_eq!(decode_envelope(&encode_envelope(&env)).unwrap(), env);
+        }
+        // The empty sequence: a one-byte-wide slab of nothing.
+        let mut seq = Vec::new();
+        write_u64_seq(&mut seq, &[]);
+        assert_eq!(seq, [0, 1]);
+        assert_eq!(read_u64_seq(&seq, &mut 0).unwrap(), Vec::<u64>::new());
+        let env = id_envelope(&[]);
+        assert_eq!(decode_envelope(&encode_envelope(&env)).unwrap(), env);
+    }
+
+    #[test]
+    fn bad_slab_mode_and_short_slab_are_errors() {
+        // Mode 5 is no width; a 3-wide slab of two ids needs six bytes.
+        assert!(read_u64_seq(&[1, 5, 0, 0, 0, 0, 0], &mut 0).is_err());
+        assert!(read_u64_seq(&[2, 3, 1, 2, 3, 4, 5], &mut 0).is_err());
+        assert_eq!(
+            read_u64_seq(&[2, 3, 1, 2, 3, 4, 5, 6], &mut 0).unwrap(),
+            [0x03_0201, 0x06_0504]
+        );
     }
 
     #[test]

@@ -22,9 +22,11 @@
 //!   Client's sequence-number dedup.
 //!
 //! Encryption is a stream-cipher TLS stand-in ([`dwrf::cipher`]) keyed per
-//! session and nonced per frame; compression reuses the DWRF block codec.
-//! Both are toggled by [`WireConfig`] and charged to `dsi_wire_*` metrics
-//! so the pipeline report can print a measured tax breakdown.
+//! session and nonced per frame; compression reuses the DWRF block codec
+//! behind a per-stream ratio gate that stops compressing frames which do
+//! not shrink by at least 1/8. Both are toggled by [`WireConfig`] and
+//! charged to `dsi_wire_*` metrics so the pipeline report can print a
+//! measured tax breakdown.
 
 #![warn(missing_docs)]
 
@@ -42,7 +44,8 @@ pub use transport::{connect, WireChaos, WireObs, WireServer};
 pub struct WireConfig {
     /// Encrypt frame payloads with the DWRF stream cipher (TLS stand-in).
     pub encrypt: bool,
-    /// Compress frame payloads with the DWRF block codec before encryption.
+    /// Compress frame payloads with the DWRF block codec before encryption,
+    /// on the frames the ratio gate admits.
     pub compress: bool,
     /// Session key for the stream cipher; ignored unless `encrypt` is set.
     pub key: u64,

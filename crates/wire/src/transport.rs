@@ -135,17 +135,55 @@ fn record_wire_span(
     });
 }
 
+/// A frame must save at least `1 / ZIP_MIN_SAVING_DIV` of its bytes for
+/// compression to pay for itself.
+const ZIP_MIN_SAVING_DIV: usize = 8;
+/// Frames sent uncompressed after a frame that did not pay, before the
+/// next probe.
+const ZIP_BACKOFF_FRAMES: u32 = 15;
+
+/// Ratio gate for wire compression, kept by each server's send loop. It
+/// compresses a frame and measures what that saved; a frame that saved
+/// less than 1/8 closes the gate for the next 15 frames, after which one
+/// frame probes again. The decision depends only on the bytes, so a
+/// stream's frames are gated identically on every run.
+#[derive(Debug, Default)]
+struct ZipGate {
+    skip: u32,
+}
+
+impl ZipGate {
+    /// Whether to compress the next frame (counts down a closed gate).
+    fn admit(&mut self) -> bool {
+        if self.skip == 0 {
+            return true;
+        }
+        self.skip -= 1;
+        false
+    }
+
+    /// Records a compressed frame's sizes, closing the gate if it saved
+    /// too little.
+    fn observe(&mut self, raw: usize, zipped: usize) {
+        if raw.saturating_sub(zipped) * ZIP_MIN_SAVING_DIV < raw {
+            self.skip = ZIP_BACKOFF_FRAMES;
+        }
+    }
+}
+
 /// Serialize an envelope into a ready-to-send data frame, built in place
 /// inside a pooled buffer: header bytes reserved up front, envelope
 /// serialized directly behind them, compression/encryption applied over
 /// the payload span, header back-filled last. One pool take per frame and
 /// zero intermediate copies on the plaintext path. Serialize, compress,
 /// and encrypt time are charged to separate counters so no stage is ever
-/// double-billed.
+/// double-billed. With `cfg.compress`, `gate` picks which frames are
+/// compressed; only those carry `FLAG_COMPRESSED`.
 fn encode_data_frame(
     env: &WireEnvelope,
     nonce: u64,
     cfg: &WireConfig,
+    gate: &mut ZipGate,
     obs: &WireObs,
     job: &str,
     pool: &BufferPool,
@@ -158,9 +196,11 @@ fn encode_data_frame(
     let logical_bytes = (buf.len() - HEADER_LEN) as u64;
     let mut flags = 0u8;
     let mut compress_ns = 0u64;
-    if cfg.compress {
+    let zip = cfg.compress && gate.admit();
+    if zip {
         let zip_start = Instant::now();
         let zipped = compress::compress(&buf[HEADER_LEN..]);
+        gate.observe(buf.len() - HEADER_LEN, zipped.len());
         buf.truncate(HEADER_LEN);
         buf.extend_from_slice(&zipped);
         flags |= FLAG_COMPRESSED;
@@ -181,9 +221,13 @@ fn encode_data_frame(
             .add(logical_bytes);
         reg.counter(names::WIRE_SERIALIZE_NANOS_TOTAL, labels)
             .add(serialize_ns);
-        if compress_ns > 0 {
+        if zip {
             reg.counter(names::WIRE_COMPRESS_NANOS_TOTAL, labels)
                 .add(compress_ns);
+            reg.counter(names::WIRE_ZIPPED_FRAMES_TOTAL, labels).inc();
+        } else if cfg.compress {
+            reg.counter(names::WIRE_ZIP_SKIPPED_FRAMES_TOTAL, labels)
+                .inc();
         }
         if encrypt_ns > 0 {
             reg.counter(names::WIRE_ENCRYPT_NANOS_TOTAL, labels)
@@ -422,6 +466,7 @@ fn server_loop(
     let mut unacked: VecDeque<UnackedFrame> = VecDeque::new();
     let mut source_done = false;
     let mut nonce: u64 = 0;
+    let mut gate = ZipGate::default();
 
     'accept: while !stop.load(Ordering::SeqCst) {
         let mut stream = match listener.accept() {
@@ -512,7 +557,8 @@ fn server_loop(
             if unacked.len() < window && !source_done {
                 match source.recv_timeout(SOURCE_POLL) {
                     Ok(env) => {
-                        let bytes = encode_data_frame(&env, nonce, &cfg, &obs, &job, &pool);
+                        let bytes =
+                            encode_data_frame(&env, nonce, &cfg, &mut gate, &obs, &job, &pool);
                         nonce += 1;
                         let send_start = now_ns();
                         let outcome =
@@ -672,6 +718,7 @@ fn client_loop(port: u16, cfg: WireConfig, tx: Sender<WireEnvelope>, obs: WireOb
 mod tests {
     use super::*;
     use chaos::{FaultEvent, FaultPlan};
+    use dsi_obs::PipelineReport;
     use dsi_types::{Batch, FeatureId, Sample, SparseList, WorkerId};
     use std::collections::HashSet;
 
@@ -741,6 +788,107 @@ mod tests {
         for (i, env) in got.iter().enumerate() {
             assert_eq!(*env, envelope(i as u64, 0, true));
         }
+    }
+
+    /// A 128-row envelope of eight ids per row: small repeated ids and a
+    /// constant dense column when `compressible`, else ids spread over the
+    /// whole u32 range and random dense values.
+    fn id_envelope(split: u64, compressible: bool) -> WireEnvelope {
+        let mut rng = dsi_types::rng::SplitMix64::new(split);
+        let mut batch = Batch::new();
+        for row in 0..128u64 {
+            let ids: Vec<u64> = (0..8u64)
+                .map(|k| match compressible {
+                    true => (row + k) % 4,
+                    false => rng.next_u64() & u32::MAX as u64,
+                })
+                .collect();
+            let dense = if compressible {
+                1.0
+            } else {
+                rng.next_f64() as f32
+            };
+            let mut s = Sample::new(dense);
+            s.set_dense(FeatureId(1), dense);
+            s.set_sparse(FeatureId(2), SparseList::from_ids(ids));
+            batch.push(s);
+        }
+        WireEnvelope {
+            split,
+            seq: 0,
+            last: true,
+            worker: WorkerId(0),
+            trace_id: 0,
+            parent_span: 0,
+            tensor: batch.materialize(&[FeatureId(1)], &[FeatureId(2)]),
+        }
+    }
+
+    /// Ships `envs` through a ciphered, compressing session and returns
+    /// what arrived plus the wire counters.
+    fn run_gated_transfer(envs: Vec<WireEnvelope>) -> (Vec<WireEnvelope>, PipelineReport) {
+        let cfg = WireConfig {
+            encrypt: true,
+            compress: true,
+            key: 0x5EED,
+        };
+        let reg = Registry::new();
+        let obs: WireObs = Arc::new(Mutex::new(Some(reg.clone())));
+        let (tx, rx) = bounded::<WireEnvelope>(4);
+        let server = WireServer::serve(rx, cfg, 4, obs.clone(), no_chaos(), "").expect("serve");
+        let out = connect(server.port(), cfg, 4, obs, "");
+        let producer = thread::spawn(move || {
+            for env in envs {
+                tx.send(env).expect("send");
+            }
+        });
+        let mut got = Vec::new();
+        while let Ok(env) = out.recv() {
+            got.push(env);
+        }
+        producer.join().expect("producer");
+        server.join();
+        (got, PipelineReport::collect(&reg))
+    }
+
+    #[test]
+    fn compressible_stream_compresses_every_frame() {
+        let sent: Vec<_> = (0..40).map(|i| id_envelope(i, true)).collect();
+        let (got, report) = run_gated_transfer(sent.clone());
+        assert_eq!(got, sent, "delivery is bitwise what was sent");
+        assert_eq!(report.wire_zipped_frames, 40, "every frame compressed");
+        assert_eq!(report.wire_zip_skipped_frames, 0);
+        assert!(
+            report.wire_compression_ratio() > 2.0,
+            "ratio {:.2}",
+            report.wire_compression_ratio()
+        );
+    }
+
+    #[test]
+    fn incompressible_stream_probes_one_frame_in_sixteen() {
+        let sent: Vec<_> = (0..40).map(|i| id_envelope(i, false)).collect();
+        let (got, report) = run_gated_transfer(sent.clone());
+        assert_eq!(got, sent, "delivery is bitwise what was sent");
+        // Frames 0, 16 and 32 probe; each fails and closes the gate for
+        // the next 15.
+        assert_eq!(report.wire_zipped_frames, 3);
+        assert_eq!(report.wire_zip_skipped_frames, 37);
+    }
+
+    #[test]
+    fn zip_gate_reopens_after_backoff() {
+        let mut gate = ZipGate::default();
+        assert!(gate.admit());
+        gate.observe(800, 700); // saved exactly 1/8: pays
+        assert!(gate.admit());
+        gate.observe(800, 701); // saved less than 1/8: closes
+        for _ in 0..ZIP_BACKOFF_FRAMES {
+            assert!(!gate.admit());
+        }
+        assert!(gate.admit(), "probe after the backoff");
+        gate.observe(100, 101); // grew: closes again
+        assert!(!gate.admit());
     }
 
     #[test]

@@ -3,9 +3,121 @@
 
 use bytes::Bytes;
 use dsi::prelude::*;
+use dsi_types::WorkerId;
 use dwrf::plan::IoPlan;
 use dwrf::{cipher::StreamCipher, compress, FileReader};
 use proptest::prelude::*;
+use wire::codec::{decode_envelope, encode_envelope, WireEnvelope};
+
+/// Per-thread heap accounting, so a decoder test can bound what one call
+/// allocates.
+mod heap {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static LIVE: Cell<usize> = const { Cell::new(0) };
+        static PEAK: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn grow(bytes: usize) {
+        let _ = LIVE.try_with(|live| {
+            let now = live.get() + bytes;
+            live.set(now);
+            let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+        });
+    }
+
+    fn shrink(bytes: usize) {
+        let _ = LIVE.try_with(|live| live.set(live.get().saturating_sub(bytes)));
+    }
+
+    /// The system allocator, counting live bytes per thread.
+    pub struct Counting;
+
+    // SAFETY: every call forwards to `System` unchanged; the counters are
+    // const-initialised thread-locals without destructors, so touching
+    // them never allocates or re-enters the allocator.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let ptr = System.alloc(layout);
+            if !ptr.is_null() {
+                grow(layout.size());
+            }
+            ptr
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            let ptr = System.alloc_zeroed(layout);
+            if !ptr.is_null() {
+                grow(layout.size());
+            }
+            ptr
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout);
+            shrink(layout.size());
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            let moved = System.realloc(ptr, layout, new_size);
+            if !moved.is_null() {
+                shrink(layout.size());
+                grow(new_size);
+            }
+            moved
+        }
+    }
+
+    /// Runs `f` and returns its result with the most heap bytes this
+    /// thread held at once during the call, above what it held before.
+    pub fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let base = LIVE.with(Cell::get);
+        PEAK.with(|peak| peak.set(base));
+        let out = f();
+        (out, PEAK.with(Cell::get).saturating_sub(base))
+    }
+}
+
+#[global_allocator]
+static ALLOC: heap::Counting = heap::Counting;
+
+/// Heap a decoder may take for `input_len` bytes of input: a constant
+/// factor per input byte (each decoded element costs at least one input
+/// byte) plus fixed slack, never the length a corrupt header claims.
+fn decode_heap_bound(input_len: usize) -> usize {
+    256 * input_len + 4096
+}
+
+/// An envelope whose sparse ids all need `width` bytes (1..=4 selects the
+/// slab width, 0 forces ids past `u32::MAX` onto the varint path).
+fn id_envelope(width: usize, raw_ids: &[u64], rows: usize) -> WireEnvelope {
+    let ids: Vec<u64> = raw_ids
+        .iter()
+        .map(|&v| match width {
+            0 => v | 1 << 40,
+            w => v >> (64 - 8 * w),
+        })
+        .collect();
+    let mut batch = Batch::new();
+    for row in 0..rows {
+        let mut s = Sample::new(row as f32);
+        s.set_dense(FeatureId(1), row as f32 * 0.5);
+        let take: Vec<u64> = ids.iter().copied().skip(row).step_by(rows).collect();
+        s.set_sparse(FeatureId(2), SparseList::from_ids(take));
+        batch.push(s);
+    }
+    WireEnvelope {
+        split: 3,
+        seq: 1,
+        last: false,
+        worker: WorkerId(1),
+        trace_id: 0,
+        parent_span: 0,
+        tensor: batch.materialize(&[FeatureId(1)], &[FeatureId(2)]),
+    }
+}
 
 fn arb_unscored_list() -> impl Strategy<Value = SparseList> {
     proptest::collection::vec(any::<u64>(), 0..20).prop_map(SparseList::from_ids)
@@ -643,5 +755,71 @@ proptest! {
             let got = cluster.read("f", off as u64, rlen as u64).expect("in-range read");
             prop_assert_eq!(&got[..], &data[off..off + rlen]);
         }
+    }
+}
+
+proptest! {
+    // Decoder robustness: cheap cases, so many of them.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn envelope_decoder_rejects_corruption_with_bounded_heap(
+        width in 0usize..5,
+        raw_ids in proptest::collection::vec(any::<u64>(), 0..40),
+        rows in 1usize..6,
+        flips in proptest::collection::vec((0.0f64..1.0, 1u8..255), 0..4),
+        splice in proptest::collection::vec(0.0f64..1.0, 0..2),
+        cut in 0.0f64..1.5,
+    ) {
+        let env = id_envelope(width, &raw_ids, rows);
+        let mut bytes = encode_envelope(&env);
+        prop_assert_eq!(&decode_envelope(&bytes).expect("round trip"), &env);
+        for (at, xor) in flips {
+            let i = (at * bytes.len() as f64) as usize;
+            bytes[i] ^= xor;
+        }
+        // Overwrite a varint claiming 2^35 elements plus a valid slab
+        // mode: where it lands on an id count, the decoder must refuse
+        // rather than reserve for it.
+        const CLAIM: [u8; 7] = [0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0x01];
+        for at in splice {
+            let i = (at * bytes.len() as f64) as usize;
+            let end = (i + CLAIM.len()).min(bytes.len());
+            bytes[i..end].copy_from_slice(&CLAIM[..end - i]);
+        }
+        bytes.truncate((cut * bytes.len() as f64) as usize);
+        // Whatever the damage, the decoder returns (a value or a typed
+        // error) without panicking, and its heap stays proportional to
+        // the bytes it was handed.
+        let (_, peak) = heap::peak_during(|| decode_envelope(&bytes));
+        prop_assert!(peak <= decode_heap_bound(bytes.len()), "{} bytes of heap for {} input bytes", peak, bytes.len());
+    }
+
+    #[test]
+    fn envelope_decoder_survives_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..200),
+    ) {
+        let (_, peak) = heap::peak_during(|| decode_envelope(&bytes));
+        prop_assert!(peak <= decode_heap_bound(bytes.len()), "{} bytes of heap for {} input bytes", peak, bytes.len());
+    }
+
+    #[test]
+    fn decompress_rejects_corruption_with_bounded_heap(
+        data in proptest::collection::vec(prop_oneof![0u8..4, any::<u8>()], 0..600),
+        flips in proptest::collection::vec((0.0f64..1.0, 1u8..255), 0..4),
+        cut in 0.0f64..1.5,
+        lz_tag: bool,
+    ) {
+        let mut block = compress::compress(&data);
+        for (at, xor) in flips {
+            let i = (at * block.len() as f64) as usize;
+            block[i] ^= xor;
+        }
+        block.truncate((cut * block.len() as f64) as usize);
+        if lz_tag && !block.is_empty() {
+            block[0] = 1; // reach the token decoder on arbitrary bytes too
+        }
+        let (_, peak) = heap::peak_during(|| compress::decompress(&block));
+        prop_assert!(peak <= decode_heap_bound(block.len()), "{} bytes of heap for {} input bytes", peak, block.len());
     }
 }
